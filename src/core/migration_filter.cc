@@ -8,6 +8,15 @@
 
 namespace tierscape {
 
+namespace {
+
+// A performance-motivated move must save at least this fraction of its own
+// migration cost in expected next-window overhead (§6.7 hysteresis, DESIGN.md
+// §5b item 9).
+constexpr double kMoveCostFactor = 0.5;
+
+}  // namespace
+
 Status FilterConfig::Validate() const {
   if (!(capacity_headroom > 0.0)) {
     return InvalidArgument("FilterConfig: capacity_headroom must be > 0, got " +
@@ -20,10 +29,6 @@ Status FilterConfig::Validate() const {
   if (hysteresis < 0.0 || hysteresis >= 1.0) {
     return InvalidArgument("FilterConfig: hysteresis must be in [0, 1), got " +
                            std::to_string(hysteresis));
-  }
-  if (move_cost_factor < 0.0) {
-    return InvalidArgument("FilterConfig: move_cost_factor must be >= 0, got " +
-                           std::to_string(move_cost_factor));
   }
   return OkStatus();
 }
@@ -83,8 +88,8 @@ FilterStats MigrationFilter::Apply(const PlacementInput& input, PlacementDecisio
                                                    region.current_tier);
       const double dst_perf = model.RegionPerfCost(region.region, region.hotness, dst);
       const bool tco_gain = dst_tco < cur_tco - config_.hysteresis * dram_tco;
-      // Moving a region costs real work; a perf-motivated move must recoup a
-      // configurable fraction of it within the next window.
+      // Moving a region costs real work; a perf-motivated move must recoup
+      // kMoveCostFactor of it within the next window.
       double move_cost = 0.0;
       if (dref.kind == TierKind::kByteAddressable) {
         move_cost = static_cast<double>(kPagesPerRegion) * 2.0 *
@@ -95,7 +100,7 @@ FilterStats MigrationFilter::Apply(const PlacementInput& input, PlacementDecisio
                     static_cast<double>(dref.compressed->StoreCost(kPageSize / 2));
       }
       const bool perf_gain =
-          cur_perf - dst_perf > config_.move_cost_factor * move_cost;
+          cur_perf - dst_perf > kMoveCostFactor * move_cost;
       if (!tco_gain && !perf_gain) {
         dst = region.current_tier;
         ++stats.dropped_hysteresis;

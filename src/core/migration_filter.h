@@ -36,9 +36,6 @@ struct FilterConfig {
   // when an individual hop's TCO gain is small.
   double hysteresis = 0.02;
   bool enable_hysteresis = true;
-  // A performance-motivated move must save at least this fraction of its own
-  // migration cost in expected next-window overhead.
-  double move_cost_factor = 0.5;
 
   // Rejects nonsensical knobs; checked with the owning DaemonConfig.
   Status Validate() const;

@@ -17,10 +17,6 @@ Status DaemonConfig::Validate() const {
     return InvalidArgument("DaemonConfig: threshold_percentile must be in [0, 100], got " +
                            std::to_string(threshold_percentile));
   }
-  if (local_solver_interference < 0.0) {
-    return InvalidArgument("DaemonConfig: local_solver_interference must be >= 0, got " +
-                           std::to_string(local_solver_interference));
-  }
   if (solver_shards < 1) {
     return InvalidArgument("DaemonConfig: solver_shards must be >= 1, got " +
                            std::to_string(solver_shards));
@@ -203,18 +199,13 @@ Status TsDaemon::OnWindowEnd() {
       Nanos solve_cost = 0;
       if (config_.remote_solver) {
         solve_cost = config_.remote_rpc_latency;
-      } else if (config_.charge_measured_solve) {
-        solve_cost =
-            static_cast<Nanos>(record.solve_ms * 1e6 * config_.local_solver_interference);
       } else {
         // A warm delta-repair only touches the changed groups' cells, so the
         // §8.4 modeled charge scales with churn instead of instance size.
         const std::uint64_t cells = analytical->stats().last_warm
                                         ? record.solver_groups_changed
                                         : input.regions.size();
-        const Nanos modeled = cells * engine_.tiers().count() * config_.solve_cost_per_cell;
-        solve_cost =
-            static_cast<Nanos>(modeled * config_.local_solver_interference);
+        solve_cost = cells * engine_.tiers().count() * config_.solve_cost_per_cell;
       }
       engine_.Compute(solve_cost);
       record.solve_cost_ns = solve_cost;

@@ -54,19 +54,17 @@ struct DaemonConfig {
   double threshold_percentile = 25.0;
   // Telemetry post-processing cost charged per sample.
   Nanos per_sample_cost = 150;
-  // Analytical-model solver placement: local charges the measured solve time
-  // against the application (CPU interference); remote charges only an RPC.
-  // A remote solve does not consume local CPU; the daemon overlaps the RPC
-  // with the window, so only the submit/receive syscalls touch the app.
+  // Analytical-model solver placement: a local solve is charged against the
+  // application (CPU interference); remote charges only an RPC. A remote
+  // solve does not consume local CPU; the daemon overlaps the RPC with the
+  // window, so only the submit/receive syscalls touch the app.
   bool remote_solver = false;
   Nanos remote_rpc_latency = 100 * kMicro;
-  double local_solver_interference = 1.0;
-  // Virtual cost charged per (region x tier) cell of a local solve. Keeps
-  // experiments deterministic (wall-clock solve time is still recorded in
-  // WindowRecord::solve_ms for §8.4 reporting). Set charge_measured_solve to
-  // charge the real measured time instead.
+  // Virtual cost charged per (region x tier) cell of a local solve (§8.4).
+  // The charge is always modeled, never measured, so experiments stay
+  // deterministic; wall-clock solve time is recorded only in
+  // WindowRecord::solve_ms for reporting.
   Nanos solve_cost_per_cell = 40;
-  bool charge_measured_solve = false;
   // Boundary behavior: kPlace runs the full loop; kProfileOnly (Fig. 14, the
   // DRAM-only reference columns) profiles and records but never migrates.
   DaemonMode mode = DaemonMode::kPlace;
@@ -152,10 +150,6 @@ class TsDaemon {
 
   // Virtual time at which the next window closes.
   Nanos next_window_at() const { return next_window_at_; }
-  // DEPRECATED shim for the pre-§4h per-op convenience; forwards one op with
-  // no latency. Kept for exactly one PR — tslint's deprecated-window-shim
-  // rule fails any caller outside this header. Use Observe(AccessEvent).
-  TS_NODISCARD Status MaybeRunWindow() { return Observe(AccessEvent{}); }
 
   const std::vector<WindowRecord>& history() const { return history_; }
   HotnessTable& hotness() { return hotness_; }

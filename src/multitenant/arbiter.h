@@ -45,10 +45,6 @@ struct ArbiterConfig {
   // follows the instantaneous weights; lower values damp window-to-window
   // grant oscillation, whose migration churn is pure slowdown (DESIGN.md §4f).
   double share_smoothing = 1.0;
-  // Modeled virtual-time cost of one arbitration, charged to every tenant's
-  // clock at each window boundary (mirrors the daemon's modeled solver costs;
-  // DESIGN.md §4f).
-  Nanos decision_cost_ns = 2 * kMicro;
 
   Status Validate() const;
 };

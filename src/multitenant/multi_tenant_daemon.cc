@@ -15,6 +15,11 @@
 namespace tierscape {
 namespace {
 
+// Modeled virtual-time cost of one arbitration, charged to every tenant's
+// clock at each window boundary (mirrors the daemon's modeled §8.4 solver
+// costs; DESIGN.md §4f).
+constexpr Nanos kArbiterDecisionCostNs = 2 * kMicro;
+
 std::uint64_t SumFaults(const TsDaemon::WindowRecord& record) {
   std::uint64_t total = 0;
   for (const std::uint64_t f : record.faults) {
@@ -301,7 +306,7 @@ Status MultiTenantDaemon::Run() {
       Tenant& tenant = *tenants_[i];
       ApplyGrant(tenant, grants_[i]);
       // Arbitration is modeled work every tenant waits on (§8.4-style cost).
-      tenant.engine->Compute(config_.arbiter.decision_cost_ns);
+      tenant.engine->Compute(kArbiterDecisionCostNs);
       // Shared-cache churn latency, parked in the tenant slot by the worker,
       // charges to virtual time here in ascending tenant order.
       tenant.engine->Compute(tenant.shared_cache_ns);

@@ -6,6 +6,17 @@
 
 namespace tierscape {
 
+namespace {
+
+// Graceful degradation (DESIGN.md §4d): a transient (kUnavailable) pool store
+// failure during migration is retried up to kMigrateRetryLimit times, each
+// attempt charging an exponentially-growing virtual-time backoff
+// (kMigrateRetryBackoffNs << attempt) to the migration clock.
+constexpr int kMigrateRetryLimit = 3;
+constexpr Nanos kMigrateRetryBackoffNs = 2000;
+
+}  // namespace
+
 Status EngineConfig::Validate() const {
   if (pebs_period == 0) {
     return InvalidArgument("EngineConfig: pebs_period must be >= 1 (1-in-N sampling)");
@@ -17,10 +28,6 @@ Status EngineConfig::Validate() const {
   if (migrate_threads < 1) {
     return InvalidArgument("EngineConfig: migrate_threads must be >= 1, got " +
                            std::to_string(migrate_threads));
-  }
-  if (migrate_retry_limit < 0) {
-    return InvalidArgument("EngineConfig: migrate_retry_limit must be >= 0, got " +
-                           std::to_string(migrate_retry_limit));
   }
   return OkStatus();
 }
@@ -375,14 +382,14 @@ StatusOr<TieringEngine::MigrateOutcome> TieringEngine::MigrateRegion(std::uint64
       };
       auto stored = attempt_store();
       // Transient (kUnavailable) store failures are retried with exponential
-      // virtual-time backoff, bounded by migrate_retry_limit (DESIGN.md §4d).
+      // virtual-time backoff, bounded by kMigrateRetryLimit (DESIGN.md §4d).
       for (int attempt = 0;
            !stored.ok() && stored.status().code() == StatusCode::kUnavailable &&
-           attempt < config_.migrate_retry_limit;
+           attempt < kMigrateRetryLimit;
            ++attempt) {
         ++outcome.transient_failures;
         m_transient_failures_->Add();
-        const Nanos backoff = config_.migrate_retry_backoff_ns << attempt;
+        const Nanos backoff = kMigrateRetryBackoffNs << attempt;
         outcome.retry_backoff_ns += backoff;
         ++outcome.retries;
         m_retry_attempts_->Add();

@@ -54,12 +54,6 @@ struct EngineConfig {
   // their counts with a full page scan and TS_CHECK it against the
   // incremental counters.
   bool check_tier_counts = false;
-  // Graceful-degradation knobs (DESIGN.md §4d): a transient (kUnavailable)
-  // pool store failure during migration is retried up to this many times,
-  // each attempt charging an exponentially-growing virtual-time backoff
-  // (base << attempt) to the migration clock.
-  int migrate_retry_limit = 3;
-  Nanos migrate_retry_backoff_ns = 2000;
 
   // Rejects nonsensical knobs before any engine state is built.
   Status Validate() const;
@@ -118,8 +112,8 @@ class TieringEngine {
   // where they are (zswap-style rejection); pages the destination has no
   // space for are left in place and counted as shortfall (partial
   // placement); transient store failures are retried with virtual-time
-  // backoff and give up into the shortfall after migrate_retry_limit
-  // attempts. Never fails on capacity or injected faults — only on
+  // backoff and give up into the shortfall after a bounded number of
+  // attempts (DESIGN.md §4d). Never fails on capacity or injected faults — only on
   // structurally invalid arguments.
   StatusOr<MigrateOutcome> MigrateRegion(std::uint64_t region, int dst);
 

@@ -4,41 +4,8 @@
 #include <utility>
 
 namespace tierscape {
-namespace {
 
-std::size_t RoundUpPow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
-int Log2(std::size_t pow2) {
-  int log = 0;
-  while ((std::size_t{1} << log) < pow2) {
-    ++log;
-  }
-  return log;
-}
-
-}  // namespace
-
-Status AccessPathConfig::Validate() const {
-  if (shards_per_tier == 0 || shards_per_tier > (std::size_t{1} << 20)) {
-    return InvalidArgument("AccessPathConfig: shards_per_tier must be in [1, 2^20], got " +
-                           std::to_string(shards_per_tier));
-  }
-  return OkStatus();
-}
-
-ZswapAccessPath::ZswapAccessPath(ZswapBackend& backend, AccessPathConfig config)
-    : backend_(&backend), config_(config) {
-  const Status valid = config_.Validate();
-  TS_CHECK(valid.ok()) << valid.ToString();
-  config_.shards_per_tier = RoundUpPow2(config_.shards_per_tier);
-  shard_shift_ = 64 - Log2(config_.shards_per_tier);
-
+ZswapAccessPath::ZswapAccessPath(ZswapBackend& backend) : backend_(&backend) {
   // Resolve one allocation lock per distinct backing Medium, at construction
   // (§4b spirit): tiers sharing a Medium must serialize their pool mutations
   // against each other, not only against themselves.
@@ -55,8 +22,8 @@ ZswapAccessPath::ZswapAccessPath(ZswapBackend& backend, AccessPathConfig config)
       it = media.end() - 1;
     }
     state.medium_mu = medium_locks_[static_cast<std::size_t>(it - media.begin())].get();
-    state.shards.reserve(config_.shards_per_tier);
-    for (std::size_t s = 0; s < config_.shards_per_tier; ++s) {
+    state.shards.reserve(kShardsPerTier);
+    for (std::size_t s = 0; s < kShardsPerTier; ++s) {
       state.shards.push_back(std::make_unique<Shard>());
     }
   }

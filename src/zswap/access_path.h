@@ -8,7 +8,7 @@
 // letting wall-clock interleaving reach virtual time:
 //
 //  * Hash-sharded per-tier entry maps with lock striping: each tier's
-//    key→entry map is split across `shards_per_tier` stripes, each with its
+//    key→entry map is split across `kShardsPerTier` stripes, each with its
 //    own mutex, so operations on different keys rarely contend.
 //  * Refcounted entries: a load pins its entry (refs+1) and decompresses
 //    OUTSIDE every lock — the dominant cost runs fully parallel — so loads
@@ -62,14 +62,6 @@ namespace tierscape {
 // Caller-chosen stable entry key (page number, tenant-scoped id, ...).
 using AccessKey = std::uint64_t;
 
-struct AccessPathConfig {
-  // Lock stripes per tier; rounded up to a power of two. 16 keeps stripe
-  // collisions rare at 8 concurrent callers while per-shard maps stay small.
-  std::size_t shards_per_tier = 16;
-
-  Status Validate() const;
-};
-
 class ZswapAccessPath {
  public:
   struct StoreResult {
@@ -84,13 +76,12 @@ class ZswapAccessPath {
   // Builds shards and per-medium locks over the backend's currently
   // registered tiers. Tiers added to the backend afterwards are not visible;
   // ZswapBackend::AddTier refuses once its access path exists.
-  explicit ZswapAccessPath(ZswapBackend& backend, AccessPathConfig config = {});
+  explicit ZswapAccessPath(ZswapBackend& backend);
 
   ZswapAccessPath(const ZswapAccessPath&) = delete;
   ZswapAccessPath& operator=(const ZswapAccessPath&) = delete;
 
   ZswapBackend& backend() { return *backend_; }
-  std::size_t shards_per_tier() const { return config_.shards_per_tier; }
 
   // --- MPMC operations: any number of threads may call these concurrently --
 
@@ -147,16 +138,20 @@ class ZswapAccessPath {
 
   Shard& ShardFor(TierState& state, AccessKey key) const {
     // Fibonacci hashing spreads adjacent keys across stripes.
-    return *state.shards[(key * 0x9E3779B97F4A7C15ull) >> shard_shift_];
+    return *state.shards[(key * 0x9E3779B97F4A7C15ull) >> (64 - kShardBits)];
   }
   TierState& StateFor(int tier_id) {
     TS_CHECK(tier_id >= 0 && static_cast<std::size_t>(tier_id) < tiers_.size());
     return tiers_[tier_id];
   }
 
+  // Lock stripes per tier, a power of two for Fibonacci hashing. 16 keeps
+  // stripe collisions rare at 8 concurrent callers while per-shard maps stay
+  // small (DESIGN.md §4g).
+  static constexpr int kShardBits = 4;
+  static constexpr std::size_t kShardsPerTier = std::size_t{1} << kShardBits;
+
   ZswapBackend* backend_;
-  AccessPathConfig config_;
-  int shard_shift_ = 0;  // 64 - log2(shards_per_tier)
   std::vector<std::unique_ptr<std::mutex>> medium_locks_;  // one per distinct Medium
   std::vector<TierState> tiers_;
 };

@@ -1,4 +1,4 @@
-// tslint-fixture: pool-purity
+// tslint-fixture: worker-capture-purity
 // Workers in a ThreadPool::ParallelFor body must be pure (thread_pool.h):
 // logging, metric mutation, and trace spans there depend on wall-clock
 // scheduling order. Both banned constructs below sit inside the lambda.

@@ -4,7 +4,7 @@
 // `cells[i].obs...`), because each index is touched by exactly one worker
 // and the merge happens after the barrier in submission order
 // (bench/experiment_grid.h). None of these registrar/mutator calls may trip
-// pool-purity — the receiver chain is subscripted.
+// worker-capture-purity — the receiver chain is subscripted.
 namespace fixture {
 
 void RunCells(ThreadPool& pool, CellSlot* slots, std::size_t n) {

@@ -1,4 +1,4 @@
-// tslint-fixture: pool-purity
+// tslint-fixture: worker-capture-purity
 // A grid worker reaching for the shared process-default observability scope:
 // Observability::Default() is never a disjoint slot, so registering or
 // mutating through it from inside a ParallelFor body depends on wall-clock

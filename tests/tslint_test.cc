@@ -7,10 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "tools/tslint_syntax.h"
@@ -330,7 +330,7 @@ TEST(CiteConstants, SizeUnitsAreNotCostConstants) {
   EXPECT_TRUE(diags.empty());
 }
 
-// --- pool-purity ----------------------------------------------------------
+// --- worker-capture-purity: observability in worker lambdas ---------------
 
 TEST(PoolPurity, LoggingAndMetricMutationInWorkerFlagged) {
   const auto diags = LintOne("src/core/a.cc",
@@ -342,7 +342,7 @@ TEST(PoolPurity, LoggingAndMetricMutationInWorkerFlagged) {
                              "  });\n"
                              "}\n");
   EXPECT_EQ(diags.size(), 2u);
-  EXPECT_EQ(Rules(diags), std::set<std::string>{kRulePoolPurity});
+  EXPECT_EQ(Rules(diags), std::set<std::string>{kRuleWorkerCapture});
 }
 
 TEST(PoolPurity, PureWorkerAndPostBarrierChargesPass) {
@@ -365,7 +365,7 @@ TEST(PoolPurity, TraceSpanInWorkerFlagged) {
                              "    Work(i);\n"
                              "  });\n"
                              "}\n");
-  EXPECT_EQ(Rules(diags), std::set<std::string>{kRulePoolPurity});
+  EXPECT_EQ(Rules(diags), std::set<std::string>{kRuleWorkerCapture});
 }
 
 TEST(PoolPurity, SubscriptedSlotObservabilityPasses) {
@@ -392,7 +392,7 @@ TEST(PoolPurity, UnsubscriptedRegistrarInWorkerStillFlagged) {
                              "  });\n"
                              "}\n");
   EXPECT_EQ(diags.size(), 1u);
-  EXPECT_EQ(Rules(diags), std::set<std::string>{kRulePoolPurity});
+  EXPECT_EQ(Rules(diags), std::set<std::string>{kRuleWorkerCapture});
 }
 
 TEST(PoolPurity, ObservabilityDefaultInWorkerFlagged) {
@@ -403,7 +403,24 @@ TEST(PoolPurity, ObservabilityDefaultInWorkerFlagged) {
                              "  });\n"
                              "}\n");
   EXPECT_EQ(diags.size(), 1u);
-  EXPECT_EQ(Rules(diags), std::set<std::string>{kRulePoolPurity});
+  EXPECT_EQ(Rules(diags), std::set<std::string>{kRuleWorkerCapture});
+}
+
+TEST(WorkerCapture, BannedCallInNestedLambdaInsideSubmitWorkerFlagged) {
+  // The outermost worker lambda's body walk covers lambdas nested in it.
+  const auto diags = LintOne("src/core/a.cc",
+                             "void f(ThreadPool& pool, Slot* slots, std::size_t n) {\n"
+                             "  pool.Submit([&](std::size_t i) {\n"
+                             "    auto step = [&](double v) {\n"
+                             "      TS_LOG(Info) << v;\n"
+                             "      slots[i].sum = v;\n"
+                             "    };\n"
+                             "    step(1.0);\n"
+                             "  });\n"
+                             "}\n");
+  ASSERT_EQ(diags.size(), 1u);
+  EXPECT_EQ(diags[0].rule, kRuleWorkerCapture);
+  EXPECT_EQ(diags[0].line, 4);
 }
 
 TEST(PoolPurity, ObservabilityDefaultOutsideWorkerPasses) {
@@ -715,46 +732,20 @@ TEST(HandleResolution, OnlyProductionCodeConstrained) {
 }
 
 TEST(HandleResolution, WorkerSpansBelongToPoolRules) {
-  // Inside a worker lambda the pool rules own registrar calls — the same
-  // construct must not double-report under handle-resolution.
+  // Inside a worker lambda worker-capture-purity owns registrar calls — the
+  // same construct must not double-report under handle-resolution.
   const auto diags = LintOne("src/solver/a.cc",
                              "void C::Run(Pool& pool, Obs& obs, std::size_t n) {\n"
                              "  pool.ParallelFor(n, [&](std::size_t i) {\n"
                              "    obs.metrics.GetCounter(\"x\")->Add(1);\n"
                              "  });\n"
                              "}\n");
-  EXPECT_EQ(Rules(diags), std::set<std::string>{kRulePoolPurity});
+  EXPECT_EQ(Rules(diags), std::set<std::string>{kRuleWorkerCapture});
 }
 
 TEST(HandleResolution, NamespaceScopeRegistrationAllowed) {
   const auto diags =
       LintOne("src/obs/a.cc", "Counter& g_hits = Default().metrics.GetCounter(\"g/hits\");\n");
-  EXPECT_TRUE(diags.empty());
-}
-
-// --- deprecated-window-shim ------------------------------------------------
-
-TEST(DeprecatedShim, CallerUseOfShimFlagged) {
-  const auto diags = LintOne("src/workloads/a.cc",
-                             "Status Drive(TsDaemon& daemon) {\n"
-                             "  return daemon.MaybeRunWindow();\n"
-                             "}\n");
-  ASSERT_EQ(diags.size(), 1u);
-  EXPECT_EQ(diags[0].rule, kRuleDeprecatedShim);
-  EXPECT_EQ(diags[0].line, 2);
-}
-
-TEST(DeprecatedShim, DeclaringHeaderExempt) {
-  // The one-PR shim may only be spelled where it is declared (§4h).
-  const auto diags = LintOne("src/core/ts_daemon.h",
-                             "TS_NODISCARD Status MaybeRunWindow() { return Observe(AccessEvent{}); }\n");
-  EXPECT_TRUE(diags.empty()) << diags.front().message;
-}
-
-TEST(DeprecatedShim, StringsAndCommentsDoNotTrip) {
-  const auto diags = LintOne("src/core/a.cc",
-                             "// MaybeRunWindow used to live here\n"
-                             "const char* kOld = \"MaybeRunWindow\";\n");
   EXPECT_TRUE(diags.empty());
 }
 
@@ -792,16 +783,7 @@ TEST(AllowHygiene, EntriesOutsideScannedTopDirsIgnored) {
   EXPECT_TRUE(LintOne("src/core/a.cc", "int x = 1;\n", allow).empty());
 }
 
-// --- parallel + incremental runs (LintTreeEx) -----------------------------
-
-std::string JoinDiags(const std::vector<Diagnostic>& diags) {
-  std::string out;
-  for (const Diagnostic& d : diags) {
-    out += ToJsonl(d);
-    out += '\n';
-  }
-  return out;
-}
+// --- whole-tree pipeline -------------------------------------------------
 
 std::map<std::string, std::string> DirtyTree() {
   std::map<std::string, std::string> sources;
@@ -821,98 +803,20 @@ std::map<std::string, std::string> DirtyTree() {
   return sources;
 }
 
-TEST(LintTreeExTest, FindingsByteIdenticalAcrossJobCounts) {
-  const auto sources = DirtyTree();
-  LintOptions serial;
-  LintOptions parallel;
-  parallel.jobs = 4;
-  const auto a = LintTreeEx(sources, {}, "tools/tslint_allow.txt", serial, nullptr);
-  const auto b = LintTreeEx(sources, {}, "tools/tslint_allow.txt", parallel, nullptr);
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(JoinDiags(a), JoinDiags(b));
-}
-
-TEST(LintTreeExTest, IncrementalRunOnUnchangedTreeAnalyzesNothing) {
-  const auto sources = DirtyTree();
-  const std::string cache = ::testing::TempDir() + "/tslint_cache_unchanged.txt";
-  std::remove(cache.c_str());
-  LintOptions options;
-  options.cache_path = cache;
-  options.incremental = true;
-  LintRunStats first_stats;
-  const auto first = LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, &first_stats);
-  EXPECT_EQ(first_stats.analyzed_files, sources.size());
-  EXPECT_FALSE(first_stats.used_cache);
-  LintRunStats second_stats;
-  const auto second = LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, &second_stats);
-  EXPECT_TRUE(second_stats.used_cache);
-  EXPECT_EQ(second_stats.analyzed_files, 0u);
-  EXPECT_FALSE(second_stats.full_cross_tu);
-  EXPECT_EQ(JoinDiags(first), JoinDiags(second));
-}
-
-TEST(LintTreeExTest, EditedFileIsReanalyzedAlone) {
-  auto sources = DirtyTree();
-  const std::string cache = ::testing::TempDir() + "/tslint_cache_edit.txt";
-  std::remove(cache.c_str());
-  LintOptions options;
-  options.cache_path = cache;
-  options.incremental = true;
-  (void)LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, nullptr);
-  // An edit that changes neither the status-symbol index nor include edges
-  // re-analyzes only the touched file.
-  sources["src/core/daemon.cc"] =
-      "void C::Record(MetricsRegistry& m) { m.GetCounter(\"c/miss\").Add(1); }\n";
-  LintRunStats stats;
-  const auto diags = LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, &stats);
-  EXPECT_TRUE(stats.used_cache);
-  EXPECT_EQ(stats.analyzed_files, 1u);
-  EXPECT_FALSE(stats.full_cross_tu);
-  const LintOptions full;
-  EXPECT_EQ(JoinDiags(diags),
-            JoinDiags(LintTreeEx(sources, {}, "tools/tslint_allow.txt", full, nullptr)));
-}
-
-TEST(LintTreeExTest, SymbolIndexChangeEscalatesToFullCrossTu) {
-  auto sources = DirtyTree();
-  const std::string cache = ::testing::TempDir() + "/tslint_cache_symbols.txt";
-  std::remove(cache.c_str());
-  LintOptions options;
-  options.cache_path = cache;
-  options.incremental = true;
-  (void)LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, nullptr);
-  // A new Status-returning symbol changes the cross-TU index: every cached
-  // file must be re-checked, and the new bare call in sink.h's includers is
-  // found even though drain.cc itself did not change.
-  sources["src/zswap/sink.h"] = "Status Flush(Sink& sink);\nStatus Seal(Sink& sink);\n";
-  LintRunStats stats;
-  const auto diags = LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, &stats);
-  EXPECT_TRUE(stats.full_cross_tu);
-  const LintOptions full;
-  EXPECT_EQ(JoinDiags(diags),
-            JoinDiags(LintTreeEx(sources, {}, "tools/tslint_allow.txt", full, nullptr)));
-}
-
-TEST(LintTreeExTest, AllowlistChangeInvalidatesCache) {
-  const auto sources = DirtyTree();
-  const std::string cache = ::testing::TempDir() + "/tslint_cache_allow.txt";
-  std::remove(cache.c_str());
-  LintOptions options;
-  options.cache_path = cache;
-  options.incremental = true;
-  (void)LintTreeEx(sources, {}, "tools/tslint_allow.txt", options, nullptr);
-  std::vector<Diagnostic> parse_diags;
-  const auto allow = ParseAllowlist(
-      "tools/tslint_allow.txt",
-      "status-discard src/zswap/drain.cc fixture: best-effort drain, error is expected\n",
-      parse_diags);
-  LintRunStats stats;
-  const auto diags = LintTreeEx(sources, allow, "tools/tslint_allow.txt", options, &stats);
-  EXPECT_FALSE(stats.used_cache);
-  EXPECT_EQ(stats.analyzed_files, sources.size());
-  for (const Diagnostic& d : diags) {
-    EXPECT_NE(d.rule, kRuleStatusDiscard) << d.message;
+TEST(LintTreeTest, DirtyTreeFindingsSortedByFileLineRule) {
+  // Per-file rules, cross-TU status-discard and the include graph in one run,
+  // merged into (file, line, col, rule) order.
+  std::vector<std::tuple<std::string, int, std::string>> got;
+  for (const Diagnostic& d : LintTree(DirtyTree(), {}, "tools/tslint_allow.txt")) {
+    got.emplace_back(d.file, d.line, d.rule);
   }
+  const std::vector<std::tuple<std::string, int, std::string>> want = {
+      {"src/core/daemon.cc", 1, kRuleHandleResolution},
+      {"src/mem/up.cc", 1, kRuleLayering},
+      {"src/solver/worker.cc", 3, kRuleWorkerCapture},
+      {"src/zswap/drain.cc", 2, kRuleStatusDiscard},
+  };
+  EXPECT_EQ(got, want);
 }
 
 // --- SARIF ----------------------------------------------------------------

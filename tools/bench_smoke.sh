@@ -93,29 +93,3 @@ for threads in 1 4; do
 done
 
 echo "[bench_smoke] OK: all grid benches byte-identical across thread counts"
-
-# tslint incremental/full identity (DESIGN.md §4c): a full serial run, a
-# parallel run, and an incremental run over the just-primed cache must produce
-# byte-identical findings. The repo tree is clean, so also assert rc=0 and
-# compare the JSONL artifacts of an explicit full vs incremental pair.
-echo "[bench_smoke] tslint: full vs parallel vs incremental identity"
-TSLINT="$BUILD_DIR/tools/tslint"
-mkdir -p "$OUT/tslint"
-"$TSLINT" --root . --self --quiet \
-  --jsonl "$OUT/tslint/full.jsonl" --sarif "$OUT/tslint/full.sarif"
-"$TSLINT" --root . --self --quiet --jobs 4 \
-  --jsonl "$OUT/tslint/parallel.jsonl"
-"$TSLINT" --root . --self --quiet --cache "$OUT/tslint/cache.txt" \
-  --jsonl "$OUT/tslint/prime.jsonl"
-"$TSLINT" --root . --self --quiet --cache "$OUT/tslint/cache.txt" --incremental \
-  --jsonl "$OUT/tslint/incremental.jsonl"
-cmp "$OUT/tslint/full.jsonl" "$OUT/tslint/parallel.jsonl"
-cmp "$OUT/tslint/full.jsonl" "$OUT/tslint/prime.jsonl"
-cmp "$OUT/tslint/full.jsonl" "$OUT/tslint/incremental.jsonl"
-# --bench repeats the identity checks internally (TS_CHECK) and additionally
-# asserts the incremental run on the unchanged tree analyzes zero files.
-"$TSLINT" --root . --self --bench --quiet --cache "$OUT/tslint/bench_cache.txt" \
-  2>"$OUT/tslint/bench_wall.jsonl"
-grep -q '"metric":"wall/tslint/incremental_ms"' "$OUT/tslint/bench_wall.jsonl"
-
-echo "[bench_smoke] OK: tslint findings identical across serial/parallel/incremental"

@@ -10,10 +10,11 @@
 // and enforces each invariant as a distinct named rule with file:line
 // diagnostics and optional machine-readable JSONL output.
 //
-// This is deliberately plain C++ with no external dependencies: the library
-// here is linked both by the `tslint` binary (registered under `ctest -L
-// lint`) and by tests/tslint_test.cc, which unit-tests the tokenizer and
-// rules against in-memory sources.
+// This is deliberately plain C++ on the standard library alone (it links
+// nothing from src/), run as one serial pass over the tree: the library here
+// is linked both by the `tslint` binary (registered under `ctest -L lint`)
+// and by tests/tslint_test.cc, which unit-tests the tokenizer and rules
+// against in-memory sources.
 #ifndef TOOLS_TSLINT_H_
 #define TOOLS_TSLINT_H_
 
@@ -101,12 +102,10 @@ inline constexpr const char* kRuleLayering = "layering";
 inline constexpr const char* kRuleNoExceptions = "no-exceptions";
 inline constexpr const char* kRuleWallPrefix = "wall-prefix";
 inline constexpr const char* kRuleCiteConstants = "cite-constants";
-inline constexpr const char* kRulePoolPurity = "pool-purity";
 inline constexpr const char* kRuleFaultHook = "fault-hook-purity";
 inline constexpr const char* kRuleWorkerCapture = "worker-capture-purity";
 inline constexpr const char* kRuleStatusDiscard = "status-discard";
 inline constexpr const char* kRuleHandleResolution = "handle-resolution-at-construction";
-inline constexpr const char* kRuleDeprecatedShim = "deprecated-window-shim";
 inline constexpr const char* kRuleAllowlist = "allowlist";  // tool hygiene
 
 // Every rule tslint enforces, in documentation order. Allowlist entries whose
@@ -133,16 +132,14 @@ bool IsFaultHookFile(const LexedFile& file);
 // within ±3 lines (tier specs, cost model, media specs, telemetry).
 bool IsCiteDesignated(const std::string& repo_relative_path);
 
-// Per-file rules (everything except include-graph checks and the cross-TU
-// status-discard rule). `allow` is the full allowlist; suppressed diagnostics
-// mark their entry used via `used_allow` (indices into `allow`).
-void CheckFile(const LexedFile& file, const std::vector<AllowEntry>& allow,
-               std::vector<bool>& used_allow, std::vector<Diagnostic>& diags);
-
 // Flow-aware rules built on the syntactic layer (tools/tslint_syntax.h).
-// CheckFile runs the first two; status-discard additionally needs the set of
-// Status/StatusOr-returning function names visible to this file through its
-// transitive quoted includes (the cross-TU symbol index).
+// `allow` is the full allowlist; suppressed diagnostics mark their entry used
+// via `used_allow` (indices into `allow`). worker-capture-purity owns every
+// check inside a ThreadPool worker lambda: shared writes, virtual-time
+// charges, and observability not reached through the worker's disjoint slot.
+// status-discard additionally needs the set of Status/StatusOr-returning
+// function names visible to this file through its transitive quoted includes
+// (the cross-TU symbol index).
 struct SyntaxInfo;  // tools/tslint_syntax.h
 void CheckWorkerCapture(const LexedFile& file, const SyntaxInfo& syntax,
                         const std::vector<AllowEntry>& allow, std::vector<bool>& used_allow,
@@ -161,42 +158,18 @@ void CheckStatusDiscard(const LexedFile& file, const SyntaxInfo& syntax,
 void CheckIncludeGraph(const std::map<std::string, LexedFile>& files,
                        std::vector<Diagnostic>& diags);
 
-// Runs everything over an in-memory tree (path → content). Used by the
-// driver after walking the real tree and by unit tests directly. Appends
-// `allowlist` diagnostics for entries whose path matches no scanned file,
-// whose rule name does not exist, or which suppressed nothing (hygiene is
-// restricted to entries under top-level directories that were scanned, so a
-// run without --self never flags tools/ entries).
+// Runs everything over an in-memory tree (path → content) in one serial
+// pass: lex, per-file rules, cross-TU status-discard, include graph,
+// allowlist hygiene, then sort by (file, line, col, rule). Used by the driver
+// after walking the real tree and by unit tests directly. Appends
+// `allowlist` diagnostics against `allow_path` for entries whose path
+// matches no scanned file, whose rule name does not exist, or which
+// suppressed nothing (hygiene is restricted to entries under top-level
+// directories that were scanned, so a run without --self never flags tools/
+// entries).
 std::vector<Diagnostic> LintTree(const std::map<std::string, std::string>& sources,
                                  const std::vector<AllowEntry>& allow,
                                  const std::string& allow_path);
-
-// Options for the full pipeline. `jobs` > 1 analyzes files in parallel on
-// src/common/thread_pool.h under its own §4c contract: workers write analysis
-// results only into their per-index slot; diagnostics, allowlist usage, and
-// the cross-TU indices merge on the calling thread in ascending path order,
-// so findings are byte-identical at every job count. `cache_path` names the
-// incremental sidecar (tools/tslint_cache.h); with `incremental` set, files
-// whose content digest matches the cache are not re-analyzed unless a
-// cross-TU index (status symbols, include edges) changed, which escalates to
-// a full pass. The cache is rewritten after every run.
-struct LintOptions {
-  int jobs = 1;
-  std::string cache_path;
-  bool incremental = false;
-};
-
-struct LintRunStats {
-  std::size_t total_files = 0;
-  std::size_t analyzed_files = 0;  // lexed + checked this run (cache misses)
-  bool used_cache = false;         // a valid, same-allowlist cache was loaded
-  bool full_cross_tu = false;      // cross-TU index changed → full re-analysis
-};
-
-std::vector<Diagnostic> LintTreeEx(const std::map<std::string, std::string>& sources,
-                                   const std::vector<AllowEntry>& allow,
-                                   const std::string& allow_path, const LintOptions& options,
-                                   LintRunStats* stats);
 
 // ---------------------------------------------------------------------------
 // Driver helpers (filesystem walk, output, self-test)
