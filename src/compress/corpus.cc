@@ -1,7 +1,8 @@
 #include "src/compress/corpus.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <string>
 
@@ -22,9 +23,17 @@ class PageBuilder {
     pos_ += n;
   }
 
-  void AppendByte(std::uint8_t b) {
-    if (pos_ < out_.size()) {
-      out_[pos_++] = static_cast<std::byte>(b);
+  // Appends the first `size` bytes of the N-byte `block`. With room for the
+  // whole block it is copied whole, which is cheaper than a variable-length
+  // copy. The bytes past `size` are overwritten by later appends, since every
+  // filler appends until the page is full.
+  template <std::size_t N>
+  void AppendBlock(const char* block, std::size_t size) {
+    if (out_.size() - pos_ >= N) {
+      std::memcpy(out_.data() + pos_, block, N);
+      pos_ += size;
+    } else {
+      Append(std::string_view(block, size));
     }
   }
 
@@ -36,20 +45,26 @@ class PageBuilder {
 // `nci`-like: fixed-schema records over a tiny symbol alphabet with heavily
 // repeated field values — compresses to ~10-20% like the real nci data set.
 void FillNci(Rng& rng, std::span<std::byte> out) {
-  static constexpr const char* kAtoms[] = {"C", "N", "O", "H", "S", "P"};
-  static constexpr const char* kBonds[] = {"1", "2", "ar"};
+  static constexpr char kAtoms[] = {'C', 'N', 'O', 'H', 'S', 'P'};
+  static constexpr std::string_view kBonds[] = {"1", "2", "ar"};
   PageBuilder page(out);
   while (!page.full()) {
     page.Append("@<MOL> ");
-    char buf[64];
     const int n_atoms = 4 + static_cast<int>(rng.NextBelow(4));
     for (int i = 0; i < n_atoms && !page.full(); ++i) {
-      // Coordinates quantized to a coarse grid: few distinct substrings.
-      std::snprintf(buf, sizeof(buf), "%s %d.%d00 %d.%d00 0.0000\n",
-                    kAtoms[rng.NextBelow(6)], static_cast<int>(rng.NextBelow(4)),
-                    static_cast<int>(rng.NextBelow(2)) * 5, static_cast<int>(rng.NextBelow(4)),
-                    static_cast<int>(rng.NextBelow(2)) * 5);
-      page.Append(buf);
+      // One "A x.x00 y.y00 0.0000" line, coordinates quantized to a coarse
+      // grid: few distinct substrings. The fields are drawn last to first:
+      // the draws used to be printf arguments, which GCC evaluates right to
+      // left, and keeping that order keeps every page (and so every figure)
+      // as it was, now on any compiler.
+      const char y_frac = rng.NextBelow(2) == 0 ? '0' : '5';
+      const char y_int = static_cast<char>('0' + rng.NextBelow(4));
+      const char x_frac = rng.NextBelow(2) == 0 ? '0' : '5';
+      const char x_int = static_cast<char>('0' + rng.NextBelow(4));
+      const char atom = kAtoms[rng.NextBelow(6)];
+      const char line[24] = {atom, ' ', x_int, '.', x_frac, '0', '0', ' ', y_int, '.', y_frac,
+                             '0',  '0', ' ',   '0', '.',    '0', '0', '0', '0', '\n'};
+      page.AppendBlock<sizeof(line)>(line, 21);
     }
     page.Append("BOND ");
     page.Append(kBonds[rng.NextBelow(3)]);
@@ -61,7 +76,8 @@ void FillNci(Rng& rng, std::span<std::byte> out) {
 // sentence structure — compresses to ~35-50% with entropy-coded LZ, ~60-70%
 // with byte-aligned LZ, matching English prose behaviour.
 void FillDickens(Rng& rng, std::span<std::byte> out) {
-  static constexpr const char* kWords[] = {
+  // One zero-padded 16-byte block per word, for PageBuilder::AppendBlock.
+  static constexpr char kWords[][16] = {
       "the",     "of",      "and",     "a",        "to",       "in",      "he",
       "was",     "that",    "it",      "his",      "her",      "with",    "as",
       "had",     "for",     "at",      "not",      "on",       "but",     "be",
@@ -78,19 +94,29 @@ void FillDickens(Rng& rng, std::span<std::byte> out) {
       "young",   "quite",   "long",    "looked",   "head",     "way",      "know",
       "well",    "much",    "where",   "after",    "round",    "eyes",     "any"};
   constexpr std::size_t kVocab = sizeof(kWords) / sizeof(kWords[0]);
+  static constexpr auto kWordSizes = [] {
+    std::array<std::size_t, kVocab> sizes{};
+    for (std::size_t i = 0; i < kVocab; ++i) {
+      sizes[i] = std::string_view(kWords[i]).size();
+    }
+    return sizes;
+  }();
+  static constexpr char kSpace[16] = " ";
+  static constexpr char kStop[16] = ". ";
   PageBuilder page(out);
   int words_in_sentence = 0;
   while (!page.full()) {
     // Zipf-ish rank selection: square a uniform to bias toward low ranks.
     const double u = rng.NextDouble();
-    const auto rank = static_cast<std::size_t>(u * u * static_cast<double>(kVocab));
-    page.Append(kWords[rank < kVocab ? rank : kVocab - 1]);
+    const auto drawn = static_cast<std::size_t>(u * u * static_cast<double>(kVocab));
+    const std::size_t rank = drawn < kVocab ? drawn : kVocab - 1;
+    page.AppendBlock<16>(kWords[rank], kWordSizes[rank]);
     ++words_in_sentence;
     if (words_in_sentence > 6 && rng.NextBelow(5) == 0) {
-      page.Append(". ");
+      page.AppendBlock<16>(kStop, 2);
       words_in_sentence = 0;
     } else {
-      page.Append(" ");
+      page.AppendBlock<16>(kSpace, 1);
     }
   }
 }
@@ -113,10 +139,7 @@ void FillBinary(Rng& rng, std::span<std::byte> out) {
     rec.id = id++;
     rec.payload = rng.Next();
     rec.flags = rec.type == 0 ? 0 : 0x1;
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(&rec);
-    for (std::size_t i = 0; i < sizeof(rec) && !page.full(); ++i) {
-      page.AppendByte(bytes[i]);
-    }
+    page.Append(std::string_view(reinterpret_cast<const char*>(&rec), sizeof(rec)));
   }
 }
 
@@ -183,10 +206,19 @@ void FillPage(CorpusProfile profile, std::uint64_t seed, std::span<std::byte> ou
 }
 
 std::uint64_t PageChecksum(std::span<const std::byte> data) {
-  // FNV-1a folded through SplitMix for avalanche.
+  // One multiply-rotate step per 8-byte word, then FNV-1a over the tail
+  // bytes, folded through SplitMix for avalanche. Every step is a bijection
+  // of the state for a fixed input word, so two inputs of equal length that
+  // differ in a single word always get different checksums.
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::byte b : data) {
-    h = (h ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ULL;
+  std::size_t i = 0;
+  for (; i + 8 <= data.size(); i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, data.data() + i, sizeof(word));
+    h = std::rotl((h ^ word) * 0x9e3779b97f4a7c15ULL, 29);
+  }
+  for (; i < data.size(); ++i) {
+    h = (h ^ static_cast<std::uint64_t>(data[i])) * 0x100000001b3ULL;
   }
   return SplitMix64(h);
 }

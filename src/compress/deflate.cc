@@ -8,6 +8,7 @@
 #include "src/compress/bitstream.h"
 #include "src/compress/codelen.h"
 #include "src/compress/huffman.h"
+#include "src/compress/lz_match.h"
 
 namespace tierscape {
 namespace {
@@ -60,16 +61,18 @@ struct Token {
   std::uint8_t literal = 0;
 };
 
-// Hash-chain LZ77 parser with one-step-lazy matching.
-std::vector<Token> Parse(std::span<const std::byte> src) {
+// Hash-chain LZ77 parser with one-step-lazy matching. Parses into the
+// calling thread's token vector, which the next parse on the thread
+// overwrites.
+const std::vector<Token>& Parse(std::span<const std::byte> src) {
   const std::byte* const base = src.data();
   const std::size_t n = src.size();
-  std::vector<Token> tokens;
-  tokens.reserve(n / 3);
+  thread_local std::vector<Token> tokens;
+  tokens.clear();
 
   std::int32_t head[1 << kHashBits];
   std::memset(head, -1, sizeof(head));
-  std::vector<std::int32_t> chain(n, -1);
+  std::int32_t* const chain = ChainScratch(n);
 
   auto hash = [&](std::size_t pos) {
     const std::uint32_t v = (static_cast<std::uint32_t>(base[pos]) << 16) |
@@ -87,14 +90,16 @@ std::vector<Token> Parse(std::span<const std::byte> src) {
     if (pos + kMinMatch > n) {
       return 0;
     }
+    const std::byte* const cur = base + pos;
     int depth = kMaxChain;
     const std::size_t limit = std::min(n - pos, kMaxMatch);
     for (std::int32_t cand = head[hash(pos)]; cand >= 0 && depth-- > 0; cand = chain[cand]) {
       const auto cpos = static_cast<std::size_t>(cand);
-      std::size_t len = 0;
-      while (len < limit && base[cpos + len] == base[pos + len]) {
-        ++len;
+      // A candidate that differs at best_len cannot be strictly longer.
+      if (base[cpos + best_len] != cur[best_len]) {
+        continue;
       }
+      const std::size_t len = CommonPrefix(base + cpos, cur, limit);
       if (len > best_len) {
         best_len = len;
         best_dist = pos - cpos;
@@ -130,7 +135,7 @@ std::vector<Token> Parse(std::span<const std::byte> src) {
       const std::size_t match_end = pos + len;
       // The lazy branch may have already inserted `pos`.
       while (pos < match_end) {
-        if (pos + kMinMatch <= n && chain.size() > pos && head[hash(pos)] != static_cast<std::int32_t>(pos)) {
+        if (pos + kMinMatch <= n && head[hash(pos)] != static_cast<std::int32_t>(pos)) {
           insert(pos);
         }
         ++pos;
@@ -150,7 +155,7 @@ std::vector<Token> Parse(std::span<const std::byte> src) {
 
 StatusOr<std::size_t> DeflateCompressor::Compress(std::span<const std::byte> src,
                                                   std::span<std::byte> dst) const {
-  const std::vector<Token> tokens = Parse(src);
+  const std::vector<Token>& tokens = Parse(src);
 
   // Frequency counting.
   std::vector<std::uint32_t> lit_freq(kNumLitLenSymbols, 0);
@@ -244,10 +249,7 @@ StatusOr<std::size_t> DeflateCompressor::Decompress(std::span<const std::byte> s
         out + len > out_end) {
       return Corruption("deflate: bad match");
     }
-    const std::byte* from = out - dist;
-    for (std::size_t i = 0; i < len; ++i) {
-      out[i] = from[i];
-    }
+    CopyMatch(out, dist, len, out_end);
     out += len;
   }
   if (out != out_end) {

@@ -1,76 +1,85 @@
 #include "src/compress/huffman.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <numeric>
-#include <queue>
 
 namespace tierscape {
 namespace {
 
+// The low `bits` bits of `value`, in reverse order.
 std::uint16_t ReverseBits(std::uint16_t value, int bits) {
-  std::uint16_t out = 0;
-  for (int i = 0; i < bits; ++i) {
-    out = static_cast<std::uint16_t>((out << 1) | ((value >> i) & 1));
-  }
-  return out;
+  static constexpr auto kReversedBytes = [] {
+    std::array<std::uint8_t, 256> table{};
+    for (int b = 0; b < 256; ++b) {
+      for (int i = 0; i < 8; ++i) {
+        table[b] |= static_cast<std::uint8_t>(((b >> i) & 1) << (7 - i));
+      }
+    }
+    return table;
+  }();
+  const unsigned reversed = (kReversedBytes[value & 0xff] << 8) | kReversedBytes[value >> 8];
+  return static_cast<std::uint16_t>(reversed >> (16 - bits));
 }
 
-// Computes unlimited Huffman code lengths with a binary heap over tree nodes.
+// Computes unlimited Huffman code lengths. Each merge takes the two smallest
+// nodes by (frequency, index), where leaves are indexed by symbol and internal
+// nodes by n, n+1, ... in creation order. Internal nodes are created with
+// non-decreasing frequencies, so the used leaves sorted by that key plus a
+// FIFO of internal nodes yield the same merge order as a heap would.
 std::vector<std::uint8_t> TreeLengths(std::span<const std::uint32_t> freqs) {
-  struct Node {
-    std::uint64_t freq;
-    int index;  // < n: leaf symbol; >= n: internal node
-  };
   const int n = static_cast<int>(freqs.size());
   std::vector<std::uint8_t> lengths(n, 0);
-  std::vector<int> parent;
-  parent.reserve(2 * n);
-  auto cmp = [](const Node& a, const Node& b) {
-    return a.freq > b.freq || (a.freq == b.freq && a.index > b.index);
-  };
-  std::priority_queue<Node, std::vector<Node>, decltype(cmp)> heap(cmp);
-  int used = 0;
+  std::vector<std::uint64_t> leaves;  // (frequency << 32) | symbol, sorted
   for (int i = 0; i < n; ++i) {
-    parent.push_back(-1);
     if (freqs[i] > 0) {
-      heap.push({freqs[i], i});
-      ++used;
+      leaves.push_back((static_cast<std::uint64_t>(freqs[i]) << 32) | static_cast<unsigned>(i));
     }
   }
+  const int used = static_cast<int>(leaves.size());
   if (used == 0) {
     return lengths;
   }
   if (used == 1) {
     // A lone symbol still needs one bit so the stream is self-terminating.
-    for (int i = 0; i < n; ++i) {
-      if (freqs[i] > 0) {
-        lengths[i] = 1;
-      }
-    }
+    lengths[static_cast<std::uint32_t>(leaves[0])] = 1;
     return lengths;
   }
-  int next = n;
-  while (heap.size() > 1) {
-    const Node a = heap.top();
-    heap.pop();
-    const Node b = heap.top();
-    heap.pop();
-    parent.push_back(-1);
-    parent[a.index] = next;
-    parent[b.index] = next;
-    heap.push({a.freq + b.freq, next});
-    ++next;
+  std::sort(leaves.begin(), leaves.end());
+  std::vector<std::uint64_t> internal_freq(used - 1);
+  std::vector<int> parent(n + used - 1, -1);  // by node index
+  int next_leaf = 0;
+  int next_internal = 0;
+  // Pops the smallest node among the leaves left and the `created` internal
+  // nodes; on equal frequencies the leaf has the lower index.
+  auto pop = [&](int created, std::uint64_t& freq) -> int {
+    if (next_leaf < used &&
+        (next_internal == created || (leaves[next_leaf] >> 32) <= internal_freq[next_internal])) {
+      freq = leaves[next_leaf] >> 32;
+      return static_cast<std::uint32_t>(leaves[next_leaf++]);
+    }
+    freq = internal_freq[next_internal];
+    return n + next_internal++;
+  };
+  for (int k = 0; k < used - 1; ++k) {
+    std::uint64_t freq_a = 0;
+    std::uint64_t freq_b = 0;
+    const int a = pop(k, freq_a);
+    const int b = pop(k, freq_b);
+    internal_freq[k] = freq_a + freq_b;
+    parent[a] = n + k;
+    parent[b] = n + k;
+  }
+  // Parents are created after their children, so depths fill in from the
+  // root (the last node) down.
+  std::vector<int> depth(n + used - 1, 0);
+  for (int node = n + used - 3; node >= n; --node) {
+    depth[node] = depth[parent[node]] + 1;
   }
   for (int i = 0; i < n; ++i) {
-    if (freqs[i] == 0) {
-      continue;
+    if (freqs[i] > 0) {
+      lengths[i] = static_cast<std::uint8_t>(depth[parent[i]] + 1);
     }
-    int depth = 0;
-    for (int p = parent[i]; p != -1; p = parent[p]) {
-      ++depth;
-    }
-    lengths[i] = static_cast<std::uint8_t>(depth);
   }
   return lengths;
 }
@@ -92,18 +101,17 @@ HuffmanCode BuildHuffmanCode(std::span<const std::uint32_t> freqs, int max_bits)
     }
   }
   if (clamped) {
-    auto kraft = [&]() {
-      std::uint64_t sum = 0;  // in units of 2^-max_bits
-      for (auto len : code.lengths) {
-        if (len > 0) {
-          sum += 1ULL << (max_bits - len);
-        }
+    std::uint64_t kraft = 0;  // in units of 2^-max_bits
+    for (auto len : code.lengths) {
+      if (len > 0) {
+        kraft += 1ULL << (max_bits - len);
       }
-      return sum;
-    };
+    }
     const std::uint64_t full = 1ULL << max_bits;
-    while (kraft() > full) {
-      // Deepen the longest code below max_bits (costs the least).
+    while (kraft > full) {
+      // Deepen the longest code below max_bits (costs the least), the lowest
+      // symbol first. Once deepened it is the longest, so it stays the one
+      // to deepen until it reaches max_bits or the sum fits.
       int best = -1;
       for (std::size_t i = 0; i < code.lengths.size(); ++i) {
         if (code.lengths[i] > 0 && code.lengths[i] < max_bits) {
@@ -115,7 +123,10 @@ HuffmanCode BuildHuffmanCode(std::span<const std::uint32_t> freqs, int max_bits)
       if (best < 0) {
         break;  // cannot happen for valid inputs
       }
-      ++code.lengths[best];
+      while (kraft > full && code.lengths[best] < max_bits) {
+        kraft -= 1ULL << (max_bits - code.lengths[best] - 1);
+        ++code.lengths[best];
+      }
     }
   }
 
@@ -144,6 +155,7 @@ bool HuffmanDecoder::Init(std::span<const std::uint8_t> lengths) {
   std::fill(std::begin(first_code_), std::end(first_code_), 0);
   std::fill(std::begin(count_), std::end(count_), 0);
   std::fill(std::begin(offset_), std::end(offset_), 0);
+  std::fill(std::begin(table_), std::end(table_), TableEntry{});
   symbols_.clear();
 
   for (auto len : lengths) {
@@ -175,22 +187,38 @@ bool HuffmanDecoder::Init(std::span<const std::uint8_t> lengths) {
   std::uint16_t fill[kMaxHuffmanBits + 1] = {};
   for (std::size_t sym = 0; sym < lengths.size(); ++sym) {
     const int len = lengths[sym];
-    if (len > 0) {
-      symbols_[offset_[len] + fill[len]++] = static_cast<std::uint16_t>(sym);
+    if (len == 0) {
+      continue;
+    }
+    const std::uint16_t rank = fill[len]++;
+    symbols_[offset_[len] + rank] = static_cast<std::uint16_t>(sym);
+    if (len <= kTableBits) {
+      // The stream carries the code MSB first, so a window whose low `len`
+      // bits are the reversed code starts with this symbol.
+      const TableEntry entry{.symbol = static_cast<std::uint16_t>(sym),
+                             .length = static_cast<std::uint8_t>(len)};
+      const std::uint16_t reversed =
+          ReverseBits(static_cast<std::uint16_t>(first_code_[len] + rank), len);
+      for (std::uint32_t i = reversed; i < (1u << kTableBits); i += 1u << len) {
+        table_[i] = entry;
+      }
     }
   }
   return true;
 }
 
-int HuffmanDecoder::Decode(BitReader& reader) const {
+int HuffmanDecoder::DecodeLong(BitReader& reader, std::uint32_t window) const {
+  // No code of kTableBits or fewer bits starts the window: walk the longer
+  // lengths canonically, one window bit at a time.
   std::uint32_t code = 0;
   for (int bits = 1; bits <= kMaxHuffmanBits; ++bits) {
-    code = (code << 1) | reader.Read(1);
-    if (count_[bits] != 0 && code >= first_code_[bits] &&
-        code < static_cast<std::uint32_t>(first_code_[bits] + count_[bits])) {
+    code = (code << 1) | ((window >> (bits - 1)) & 1);
+    if (bits > kTableBits && code - first_code_[bits] < std::uint32_t{count_[bits]}) {
+      reader.Skip(bits);
       return symbols_[offset_[bits] + (code - first_code_[bits])];
     }
   }
+  reader.Skip(kMaxHuffmanBits);
   return -1;
 }
 

@@ -2,9 +2,9 @@
 // zstd-style compressors.
 //
 // Codes are emitted most-significant-bit first into the LSB-first BitWriter
-// (the encoder stores pre-reversed code words), and the decoder consumes one
-// bit at a time against the canonical first-code table, exactly like a
-// classic DEFLATE implementation.
+// (the encoder stores pre-reversed code words). The decoder resolves codes of
+// up to kTableBits bits with one table lookup and walks the canonical
+// first-code table, like a classic DEFLATE implementation, for longer ones.
 #ifndef SRC_COMPRESS_HUFFMAN_H_
 #define SRC_COMPRESS_HUFFMAN_H_
 
@@ -40,10 +40,29 @@ class HuffmanDecoder {
   // Returns false if the lengths do not describe a decodable code.
   bool Init(std::span<const std::uint8_t> lengths);
 
-  // Decodes one symbol; returns -1 on malformed input.
-  int Decode(BitReader& reader) const;
+  // Decodes one symbol; returns -1 on malformed input, after consuming
+  // kMaxHuffmanBits bits.
+  int Decode(BitReader& reader) const {
+    const std::uint32_t window = reader.Peek(kMaxHuffmanBits);
+    const TableEntry entry = table_[window & ((1u << kTableBits) - 1)];
+    if (entry.length == 0) {
+      return DecodeLong(reader, window);
+    }
+    reader.Skip(entry.length);
+    return entry.symbol;
+  }
 
  private:
+  static constexpr int kTableBits = 10;
+  struct TableEntry {
+    std::uint16_t symbol = 0;
+    std::uint8_t length = 0;  // 0: no code of <= kTableBits bits starts here
+  };
+
+  // Decode for windows the table does not resolve.
+  int DecodeLong(BitReader& reader, std::uint32_t window) const;
+
+  TableEntry table_[1 << kTableBits];  // indexed by the next kTableBits stream bits
   std::uint16_t first_code_[kMaxHuffmanBits + 1] = {};
   std::uint16_t count_[kMaxHuffmanBits + 1] = {};
   std::uint16_t offset_[kMaxHuffmanBits + 1] = {};

@@ -1,8 +1,10 @@
 #include "src/compress/lz4.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <vector>
+
+#include "src/compress/lz_match.h"
 
 namespace tierscape {
 namespace {
@@ -21,16 +23,6 @@ inline std::uint32_t Load32(const std::byte* p) {
 
 inline std::uint32_t Hash4(std::uint32_t sequence) {
   return (sequence * 2654435761u) >> (32 - kHashBits);
-}
-
-// Length of the common prefix of [a, limit) and [b, ...).
-inline std::size_t MatchLength(const std::byte* a, const std::byte* b, const std::byte* limit) {
-  const std::byte* start = a;
-  while (a < limit && *a == *b) {
-    ++a;
-    ++b;
-  }
-  return static_cast<std::size_t>(a - start);
 }
 
 class SequenceEmitter {
@@ -112,10 +104,7 @@ StatusOr<std::size_t> CompressGeneric(std::span<const std::byte> src, std::span<
   // Fast path: single-slot hash table. HC path: hash heads + chain links.
   std::int32_t head[1 << kHashBits];
   std::memset(head, -1, sizeof(head));
-  std::vector<std::int32_t> chain;
-  if (high_compression) {
-    chain.assign(src.size(), -1);
-  }
+  std::int32_t* const chain = high_compression ? ChainScratch(src.size()) : nullptr;
 
   auto insert = [&](const std::byte* p) {
     const std::uint32_t h = Hash4(Load32(p));
@@ -128,23 +117,25 @@ StatusOr<std::size_t> CompressGeneric(std::span<const std::byte> src, std::span<
 
   // Finds the best match for `p`; returns length (0 if none) and offset.
   auto find_match = [&](const std::byte* p, std::size_t& best_off) -> std::size_t {
-    const std::uint32_t h = Hash4(Load32(p));
-    std::int32_t cand = head[h];
+    const auto limit = static_cast<std::size_t>(match_limit - p);
     std::size_t best_len = 0;
     int depth = high_compression ? search_depth : 1;
-    while (cand >= 0 && depth-- > 0) {
+    for (std::int32_t cand = head[Hash4(Load32(p))]; cand >= 0 && depth-- > 0;
+         cand = high_compression ? chain[cand] : -1) {
       const std::byte* cp = base + cand;
-      if (static_cast<std::size_t>(p - cp) <= kMaxOffset && Load32(cp) == Load32(p)) {
-        const std::size_t len = MatchLength(p, cp, match_limit);
-        if (len >= kMinMatch && len > best_len) {
-          best_len = len;
-          best_off = static_cast<std::size_t>(p - cp);
+      // A candidate that differs at best_len cannot be strictly longer.
+      if (static_cast<std::size_t>(p - cp) > kMaxOffset || cp[best_len] != p[best_len] ||
+          Load32(cp) != Load32(p)) {
+        continue;
+      }
+      const std::size_t len = CommonPrefix(p, cp, limit);
+      if (len >= kMinMatch && len > best_len) {
+        best_len = len;
+        best_off = static_cast<std::size_t>(p - cp);
+        if (best_len == limit) {
+          break;  // no candidate can match past match_limit
         }
       }
-      if (!high_compression) {
-        break;
-      }
-      cand = chain[cand];
     }
     return best_len;
   };
@@ -211,7 +202,8 @@ StatusOr<std::size_t> DecompressImpl(std::span<const std::byte> src, std::span<s
     if (in + lit_len > in_end || out + lit_len > out_end) {
       return Corruption("lz4: literal overrun");
     }
-    std::memcpy(out, in, lit_len);
+    CopyLiterals(out, in, lit_len,
+                 std::min<std::size_t>(in_end - in, out_end - out));
     in += lit_len;
     out += lit_len;
     if (in >= in_end) {
@@ -243,12 +235,9 @@ StatusOr<std::size_t> DecompressImpl(std::span<const std::byte> src, std::span<s
     if (out + match_len > out_end) {
       return Corruption("lz4: match overrun");
     }
-    // Byte-wise copy: overlapping matches (offset < match_len) are the RLE
-    // idiom and must replicate forward.
-    const std::byte* from = out - offset;
-    for (std::size_t i = 0; i < match_len; ++i) {
-      out[i] = from[i];
-    }
+    // Overlapping matches (offset < match_len) are the RLE idiom and must
+    // replicate forward.
+    CopyMatch(out, offset, match_len, out_end);
     out += match_len;
   }
   if (out != out_end) {

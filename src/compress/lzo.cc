@@ -1,8 +1,10 @@
 #include "src/compress/lzo.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <vector>
+
+#include "src/compress/lz_match.h"
 
 namespace tierscape {
 namespace {
@@ -98,7 +100,7 @@ StatusOr<std::size_t> CompressImpl(std::span<const std::byte> src, std::span<std
 
   std::int32_t head[1 << kHashBits];
   std::memset(head, -1, sizeof(head));
-  std::vector<std::int32_t> chain(src.size(), -1);
+  std::int32_t* const chain = ChainScratch(src.size());
   auto insert = [&](const std::byte* at) {
     const std::uint32_t h = Hash3(at);
     const auto ipos = static_cast<std::int32_t>(at - base);
@@ -122,20 +124,17 @@ StatusOr<std::size_t> CompressImpl(std::span<const std::byte> src, std::span<std
   };
 
   while (p < find_limit) {
-    // RLE fast path: a run of >= 4 identical bytes.
+    const auto limit = static_cast<std::size_t>(end - p);
+    // RLE fast path: a run of >= 4 identical bytes (at most 2^20), measured
+    // as how far the input matches itself shifted by one byte.
     if (rle) {
-      const std::byte value = *p;
-      const std::byte* q = p + 1;
-      while (q < end && *q == value && static_cast<std::size_t>(q - p) < (1u << 20)) {
-        ++q;
-      }
-      const auto run = static_cast<std::size_t>(q - p);
+      const std::size_t run = 1 + CommonPrefix(p + 1, p, std::min(limit, std::size_t{1} << 20) - 1);
       if (run >= 4) {
         if (!flush_literals(p) || !out.PutToken(kRunTag, run - 4) ||
-            !out.Put(static_cast<unsigned>(value))) {
+            !out.Put(static_cast<unsigned>(*p))) {
           return Rejected("lzo: output too small");
         }
-        p = q;
+        p += run;
         anchor = p;
         continue;
       }
@@ -150,13 +149,17 @@ StatusOr<std::size_t> CompressImpl(std::span<const std::byte> src, std::span<std
       if (static_cast<std::size_t>(p - cp) > kMaxOffset) {
         break;
       }
-      std::size_t len = 0;
-      while (p + len < end && cp[len] == p[len]) {
-        ++len;
+      // A candidate that differs at best_len cannot be strictly longer.
+      if (cp[best_len] != p[best_len]) {
+        continue;
       }
+      const std::size_t len = CommonPrefix(cp, p, limit);
       if (len > best_len) {
         best_len = len;
         best_off = static_cast<std::size_t>(p - cp);
+        if (best_len == limit) {
+          break;  // no candidate can match past the end of the input
+        }
       }
     }
     if (best_len >= kMinMatch) {
@@ -165,13 +168,11 @@ StatusOr<std::size_t> CompressImpl(std::span<const std::byte> src, std::span<std
           !out.Put(static_cast<unsigned>(best_off >> 8))) {
         return Rejected("lzo: output too small");
       }
-      const std::byte* match_end = p + best_len;
-      while (p < match_end) {
-        if (p < find_limit) {
-          insert(p);
-        }
-        ++p;
+      const std::byte* const match_end = p + best_len;
+      for (; p < match_end && p < find_limit; ++p) {
+        insert(p);
       }
+      p = match_end;
       anchor = p;
       continue;
     }
@@ -202,7 +203,8 @@ StatusOr<std::size_t> DecompressImpl(std::span<const std::byte> src, std::span<s
       if (len == 0 || in + len > in_end || out + len > out_end) {
         return Corruption("lzo: literal overrun");
       }
-      std::memcpy(out, in, len);
+      CopyLiterals(out, in, len,
+                   std::min<std::size_t>(in_end - in, out_end - out));
       in += len;
       out += len;
     } else if (tag == kMatchTag) {
@@ -218,10 +220,7 @@ StatusOr<std::size_t> DecompressImpl(std::span<const std::byte> src, std::span<s
           out + len > out_end) {
         return Corruption("lzo: bad match");
       }
-      const std::byte* from = out - offset;
-      for (std::size_t i = 0; i < len; ++i) {
-        out[i] = from[i];
-      }
+      CopyMatch(out, offset, len, out_end);
       out += len;
     } else if (tag == kRunTag) {
       const std::size_t len = field + 4;

@@ -1,6 +1,7 @@
 #include "src/compress/zstd_like.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -8,6 +9,7 @@
 #include "src/compress/bitstream.h"
 #include "src/compress/codelen.h"
 #include "src/compress/huffman.h"
+#include "src/compress/lz_match.h"
 
 namespace tierscape {
 namespace {
@@ -27,15 +29,18 @@ struct ParseResult {
   std::vector<Sequence> sequences;
 };
 
-ParseResult Parse(std::span<const std::byte> src) {
+// Parses `src` into the calling thread's ParseResult, which the next parse on
+// the same thread overwrites.
+const ParseResult& Parse(std::span<const std::byte> src) {
   const std::byte* const base = src.data();
   const std::size_t n = src.size();
-  ParseResult result;
-  result.literals.reserve(n / 2);
+  thread_local ParseResult result;
+  result.literals.clear();
+  result.sequences.clear();
 
   std::int32_t head[1 << kHashBits];
   std::memset(head, -1, sizeof(head));
-  std::vector<std::int32_t> chain(n, -1);
+  std::int32_t* const chain = ChainScratch(n);
 
   auto hash = [&](std::size_t pos) {
     const std::uint32_t v = (static_cast<std::uint32_t>(base[pos]) << 16) |
@@ -52,6 +57,8 @@ ParseResult Parse(std::span<const std::byte> src) {
   std::size_t run_start = 0;
   std::size_t pos = 0;
   while (pos + kMinMatch <= n) {
+    const std::byte* const cur = base + pos;
+    const std::size_t limit = n - pos;
     std::size_t best_len = 0;
     std::size_t best_dist = 0;
     int depth = kMaxChain;
@@ -60,14 +67,17 @@ ParseResult Parse(std::span<const std::byte> src) {
       if (pos - cpos > 65535) {
         break;  // chains are position-ordered; older candidates are farther
       }
-      std::size_t len = 0;
-      const std::size_t limit = n - pos;
-      while (len < limit && base[cpos + len] == base[pos + len]) {
-        ++len;
+      // A candidate that differs at best_len cannot be strictly longer.
+      if (base[cpos + best_len] != cur[best_len]) {
+        continue;
       }
+      const std::size_t len = CommonPrefix(base + cpos, cur, limit);
       if (len > best_len) {
         best_len = len;
         best_dist = pos - cpos;
+        if (best_len == limit) {
+          break;  // no candidate can match past the end of the input
+        }
       }
     }
     if (best_len >= kMinMatch) {
@@ -115,20 +125,16 @@ std::uint32_t ReadLength(BitReader& reader) {
 // Offsets only need as many bits as the current output position allows —
 // within a 4 KiB page that is <= 12 bits instead of a fixed 16.
 int OffsetBits(std::size_t produced) {
-  int bits = 1;
-  while (((1ull << bits) - 1) < produced && bits < 16) {
-    ++bits;
-  }
-  return bits;
+  return std::clamp(static_cast<int>(std::bit_width(produced)), 1, 16);
 }
 
 }  // namespace
 
 StatusOr<std::size_t> ZstdCompressor::Compress(std::span<const std::byte> src,
                                                std::span<std::byte> dst) const {
-  const ParseResult parsed = Parse(src);
+  const ParseResult& parsed = Parse(src);
 
-  std::vector<std::uint32_t> freq(256, 0);
+  std::uint32_t freq[256] = {};
   for (std::byte b : parsed.literals) {
     ++freq[static_cast<std::size_t>(b)];
   }
@@ -175,7 +181,17 @@ StatusOr<std::size_t> ZstdCompressor::Decompress(std::span<const std::byte> src,
   if (!lit_dec.Init(lengths)) {
     return Corruption("zstd: bad literal code");
   }
-  std::vector<std::byte> literals(n_literals);
+  // Every literal is copied to the output once, so a valid stream has no
+  // more literals than output bytes.
+  if (n_literals > dst.size()) {
+    return Corruption("zstd: too many literals");
+  }
+  // 16 bytes of slack let CopyLiterals move short runs whole.
+  thread_local std::vector<std::byte> literal_buffer;
+  if (literal_buffer.size() < n_literals + 16) {
+    literal_buffer.resize(n_literals + 16);
+  }
+  const std::span<std::byte> literals(literal_buffer.data(), n_literals);
   for (std::uint32_t i = 0; i < n_literals; ++i) {
     const int sym = lit_dec.Decode(reader);
     if (sym < 0) {
@@ -198,17 +214,15 @@ StatusOr<std::size_t> ZstdCompressor::Decompress(std::span<const std::byte> src,
     if (reader.exhausted() || lit_pos + run > literals.size() || out + run > out_end) {
       return Corruption("zstd: bad sequence");
     }
-    std::memcpy(out, literals.data() + lit_pos, run);
+    CopyLiterals(out, literals.data() + lit_pos, run,
+                 std::min<std::size_t>(literal_buffer.size() - lit_pos, out_end - out));
     lit_pos += run;
     out += run;
     if (offset == 0 || offset > static_cast<std::size_t>(out - dst.data()) ||
         out + match_len > out_end) {
       return Corruption("zstd: bad match");
     }
-    const std::byte* from = out - offset;
-    for (std::uint32_t i = 0; i < match_len; ++i) {
-      out[i] = from[i];
-    }
+    CopyMatch(out, offset, match_len, out_end);
     out += match_len;
   }
   const std::size_t tail = literals.size() - lit_pos;
