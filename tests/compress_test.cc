@@ -258,6 +258,19 @@ TEST(CorpusTest, ChecksumDetectsChange) {
   EXPECT_NE(before, PageChecksum(page));
 }
 
+TEST(CorpusTest, ChecksumDetectsEverySingleBitFlip) {
+  // A page, and an odd size whose last bytes fall outside the 8-byte words.
+  for (const std::size_t size : {kPageSize, std::size_t{4099}}) {
+    std::vector<std::byte> page = MakePage(CorpusProfile::kDickens, 11, size);
+    const std::uint64_t before = PageChecksum(page);
+    for (std::size_t bit = 0; bit < 8 * size; ++bit) {
+      page[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+      ASSERT_NE(PageChecksum(page), before) << "size " << size << " bit " << bit;
+      page[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+    }
+  }
+}
+
 TEST(CompressorRegistryTest, NamesRoundTrip) {
   for (int a = 0; a < kAlgorithmCount; ++a) {
     const auto algorithm = static_cast<Algorithm>(a);
