@@ -109,27 +109,26 @@ class BitReader {
   // Returns the next `count` bits (count <= 32) without consuming them. Bits
   // past the end of the input read as zeros.
   std::uint32_t Peek(int count) {
-    Refill(count);
+    if (filled_ < count) {
+      Refill(count);
+    }
     return static_cast<std::uint32_t>(acc_ & ((1ull << count) - 1));
   }
 
   // Consumes `count` bits (count <= 32). Consuming any bit past the end of the
   // input sets the exhausted flag.
   void Skip(int count) {
-    Refill(count);
-    if (count > filled_ - padding_) {
-      exhausted_ = true;
-      padding_ = filled_ - count;
+    if (filled_ < count) {
+      Refill(count);
     }
-    acc_ >>= count;
-    filled_ -= count;
+    Consume(count);
   }
 
   // Reads `count` bits (count <= 32). Reading past the end returns zeros and
   // sets the exhausted flag (checked by callers at the end).
   std::uint32_t Read(int count) {
     const std::uint32_t value = Peek(count);
-    Skip(count);
+    Consume(count);
     return value;
   }
 
@@ -141,12 +140,8 @@ class BitReader {
   // the low bits of the next unread byte, so OR-ing that byte in later is
   // harmless. Near the end, whole bytes go in one at a time, zeros past it.
   void Refill(int count) {
-    if (filled_ >= count) {
-      return;
-    }
     if (in_.size() - pos_ >= 8) {
-      const std::uint64_t word = LoadLE64(in_.data() + pos_);
-      acc_ |= word << filled_;
+      acc_ |= LoadLE64(in_.data() + pos_) << filled_;
       pos_ += static_cast<std::size_t>((63 - filled_) >> 3);
       filled_ |= 56;
       return;
@@ -159,6 +154,16 @@ class BitReader {
       }
       filled_ += 8;
     }
+  }
+
+  // Drops `count` buffered bits (count <= filled_).
+  void Consume(int count) {
+    if (count > filled_ - padding_) {
+      exhausted_ = true;
+      padding_ = filled_ - count;
+    }
+    acc_ >>= count;
+    filled_ -= count;
   }
 
   std::span<const std::byte> in_;
