@@ -213,7 +213,7 @@ std::uint64_t PageChecksum(std::span<const std::byte> data) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   std::size_t i = 0;
   for (; i + 8 <= data.size(); i += 8) {
-    std::uint64_t word;
+    std::uint64_t word = 0;
     std::memcpy(&word, data.data() + i, sizeof(word));
     h = std::rotl((h ^ word) * 0x9e3779b97f4a7c15ULL, 29);
   }
