@@ -1,6 +1,7 @@
 // Tests for the workload generators and the experiment driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -46,9 +47,14 @@ TEST(RmatGraphTest, Deterministic) {
   config.vertices = 1 << 10;
   RmatGraph a(config);
   RmatGraph b(config);
-  for (std::uint64_t v = 0; v < a.vertices(); v += 37) {
-    EXPECT_EQ(a.EdgeOffset(v), b.EdgeOffset(v));
+  ASSERT_EQ(a.vertices(), b.vertices());
+  ASSERT_EQ(a.edges(), b.edges());
+  for (std::uint64_t v = 0; v <= a.vertices(); ++v) {
+    ASSERT_EQ(a.EdgeOffset(v), b.EdgeOffset(v)) << "vertex " << v;
   }
+  const std::uint32_t* a_targets = a.Neighbors(0).first;
+  const std::uint32_t* b_targets = b.Neighbors(0).first;
+  EXPECT_TRUE(std::equal(a_targets, a_targets + a.edges(), b_targets));
 }
 
 template <typename WorkloadT, typename ConfigT>
