@@ -41,7 +41,8 @@ class TenantApp {
   virtual std::string_view name() const = 0;
   // Reserves the tenant's segments. Called once, before its engine exists.
   virtual void Reserve(AddressSpace& space) = 0;
-  // Optional warm-up (not measured).
+  // Warm-up (not measured): called once, after PlaceInitial and before the
+  // first Op.
   virtual void Populate(TieringEngine& engine) {}
   // Executes one operation and returns its latency.
   virtual Nanos Op(TieringEngine& engine) = 0;

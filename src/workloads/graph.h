@@ -4,16 +4,19 @@
 // The graph is generated host-side with the standard rMat recursive
 // quadrant-splitting procedure (a=0.57, b=0.19, c=0.19, d=0.05), giving the
 // power-law degree skew that makes a minority of rank/visited pages hot. The
-// simulated footprint holds the CSR arrays and the per-vertex state.
+// simulated footprint holds the CSR arrays and the per-vertex state. Its size
+// follows from the config alone, so the workloads build the graph in
+// Populate, and a footprint probe (construct + Reserve) never builds one.
 #ifndef SRC_WORKLOADS_GRAPH_H_
 #define SRC_WORKLOADS_GRAPH_H_
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/status.h"
 #include "src/workloads/workload.h"
 
 namespace tierscape {
@@ -25,11 +28,20 @@ struct RmatConfig {
   double b = 0.19;
   double c = 0.19;  // d = 1 - a - b - c
   std::uint64_t seed = 7;
+
+  std::uint64_t edges() const { return vertices * edges_per_vertex; }
+
+  // Rejects configs the generator cannot build: no vertices, vertex ids
+  // beyond the 32-bit CSR targets, an edge count that overflows, and
+  // quadrant probabilities that are negative or sum past 1.
+  Status Validate() const;
 };
 
-// Host-side CSR graph shared by the graph workloads.
+// Host-side CSR graph shared by the graph workloads. Each vertex's targets
+// are sorted, so the CSR is the sorted edge list (duplicates kept).
 class RmatGraph {
  public:
+  // TS_CHECKs config.Validate().
   explicit RmatGraph(const RmatConfig& config);
 
   std::uint64_t vertices() const { return offsets_.size() - 1; }
@@ -66,7 +78,7 @@ class PageRankWorkload : public Workload {
 
  private:
   GraphWorkloadConfig config_;
-  std::shared_ptr<RmatGraph> graph_;
+  std::optional<RmatGraph> graph_;  // built in Populate
   Rng rng_;
   std::uint64_t cursor_ = 0;
   std::uint64_t csr_index_base_ = 0;
@@ -74,8 +86,8 @@ class PageRankWorkload : public Workload {
   std::uint64_t rank_base_ = 0;
 };
 
-// BFS: operations consume a precomputed breadth-first order; each op scans
-// one vertex's neighbors and tests/sets their visited bits.
+// BFS: operations consume a breadth-first order precomputed in Populate; each
+// op scans one vertex's neighbors and tests/sets their visited bits.
 class BfsWorkload : public Workload {
  public:
   explicit BfsWorkload(GraphWorkloadConfig config);
@@ -87,8 +99,8 @@ class BfsWorkload : public Workload {
 
  private:
   GraphWorkloadConfig config_;
-  std::shared_ptr<RmatGraph> graph_;
-  std::vector<std::uint32_t> bfs_order_;  // host-side precomputed traversal
+  std::optional<RmatGraph> graph_;        // built in Populate
+  std::vector<std::uint32_t> bfs_order_;  // host-side traversal, computed in Populate
   std::uint64_t cursor_ = 0;
   std::uint64_t csr_index_base_ = 0;
   std::uint64_t csr_edges_base_ = 0;

@@ -21,10 +21,13 @@ class Workload {
   virtual std::string_view name() const = 0;
 
   // Reserves the workload's segments. Called once, before the engine exists.
+  // A footprint probe (construct + Reserve) stops here, so Reserve sizes the
+  // segments from the config alone.
   virtual void Reserve(AddressSpace& space) = 0;
 
-  // Optional warm-up/population phase (e.g. loading the KV store). Runs
-  // before measurement starts.
+  // Population phase (e.g. loading the KV store), before measurement starts.
+  // Every driver calls it once, after PlaceInitial and before the first Op.
+  // The graph workloads build their host-side graph here.
   virtual void Populate(TieringEngine& engine) {}
 
   // Executes one operation and returns its latency (memory + compute).

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "src/common/histogram.h"
 #include "src/core/analytical.h"
 #include "src/fault/fault_injector.h"
 #include "src/obs/export.h"
@@ -55,6 +58,97 @@ TEST(RmatGraphTest, Deterministic) {
   const std::uint32_t* a_targets = a.Neighbors(0).first;
   const std::uint32_t* b_targets = b.Neighbors(0).first;
   EXPECT_TRUE(std::equal(a_targets, a_targets + a.edges(), b_targets));
+}
+
+TEST(RmatConfigTest, Validate) {
+  auto code = [](void (*mutate)(RmatConfig&)) {
+    RmatConfig config;
+    mutate(config);
+    return config.Validate().code();
+  };
+  EXPECT_EQ(code([](RmatConfig&) {}), StatusCode::kOk);
+  EXPECT_EQ(code([](RmatConfig& c) { c.vertices = 1; }), StatusCode::kOk);
+  EXPECT_EQ(code([](RmatConfig& c) { c.vertices = 1ULL << 32; }), StatusCode::kOk);
+  EXPECT_EQ(code([](RmatConfig& c) { c.edges_per_vertex = 0; }), StatusCode::kOk);
+  EXPECT_EQ(code([](RmatConfig& c) { c.a = 0.5, c.b = 0.25, c.c = 0.25; }), StatusCode::kOk);
+  EXPECT_EQ(code([](RmatConfig& c) { c.a = 0.0, c.b = 0.0, c.c = 0.0; }), StatusCode::kOk);
+
+  EXPECT_EQ(code([](RmatConfig& c) { c.vertices = 0; }), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code([](RmatConfig& c) { c.vertices = (1ULL << 32) + 1; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code([](RmatConfig& c) { c.edges_per_vertex = ~0ULL; }),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code([](RmatConfig& c) { c.a = -0.01; }), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code([](RmatConfig& c) { c.b = -0.01; }), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code([](RmatConfig& c) { c.c = -0.01; }), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code([](RmatConfig& c) { c.a = std::nan(""); }), StatusCode::kInvalidArgument);
+  EXPECT_EQ(code([](RmatConfig& c) { c.a = 0.5, c.b = 0.3, c.c = 0.3; }),
+            StatusCode::kInvalidArgument);
+}
+
+// The graph workloads build their graph in Populate, so Reserve sizes the
+// footprint from the config alone. It must reserve what the built graph
+// needs, and Populate followed by Op must replay what RunExperiment sees.
+TEST(GraphWorkloadTest, DeferredBuildMatchesBuiltGraph) {
+  for (const RmatConfig& rmat :
+       {RmatConfig{.vertices = 1, .edges_per_vertex = 1}, RmatConfig{.vertices = 1000},
+        RmatConfig{.vertices = 3 << 10, .edges_per_vertex = 1, .seed = 3},
+        RmatConfig{.vertices = 1 << 12, .a = 0.5, .b = 0.25, .c = 0.125, .seed = 5},
+        // The CSR index, (n + 1) * 8 bytes, spills just past one region.
+        RmatConfig{.vertices = 1 << 18, .edges_per_vertex = 1, .seed = 9}}) {
+    SCOPED_TRACE("vertices=" + std::to_string(rmat.vertices));
+    const RmatGraph graph(rmat);
+    GraphWorkloadConfig config;
+    config.rmat = rmat;
+    for (const bool bfs : {false, true}) {
+      SCOPED_TRACE(bfs ? "bfs" : "pagerank");
+      auto make = [&]() -> std::unique_ptr<Workload> {
+        if (bfs) {
+          return std::make_unique<BfsWorkload>(config);
+        }
+        return std::make_unique<PageRankWorkload>(config);
+      };
+
+      // Reserve before Populate: CSR index, CSR edges, per-vertex state.
+      std::unique_ptr<Workload> workload = make();
+      AddressSpace space;
+      workload->Reserve(space);
+      const std::vector<std::size_t> sizes = {(graph.vertices() + 1) * 8, graph.edges() * 4,
+                                              graph.vertices() * 8};
+      ASSERT_EQ(space.segments().size(), sizes.size());
+      AddressSpace expected;
+      for (std::size_t i = 0; i < sizes.size(); ++i) {
+        const AddressSpace::Segment& segment = space.segments()[i];
+        expected.Allocate(segment.name, sizes[i], segment.profile);
+        EXPECT_EQ(segment.bytes, expected.segments()[i].bytes) << segment.name;
+      }
+      EXPECT_EQ(space.total_bytes(), expected.total_bytes());
+
+      // Populate, then ops (a full pass over a small graph), by hand and
+      // through the driver.
+      ExperimentConfig experiment;
+      experiment.ops = std::min<std::uint64_t>(graph.vertices() + 7, 20'000);
+      experiment.target_windows = 2;
+      TieredSystem system(StandardMixConfig(64 * kMiB, 64 * kMiB));
+      TieringEngine engine(space, system.tiers(), experiment.engine);
+      ASSERT_TRUE(engine.PlaceInitial().ok());
+      workload->Populate(engine);
+      Histogram by_hand;
+      for (std::uint64_t op = 0; op < experiment.ops; ++op) {
+        by_hand.Record(workload->Op(engine));
+      }
+      std::unique_ptr<Workload> driven = make();
+      TieredSystem driven_system(StandardMixConfig(64 * kMiB, 64 * kMiB));
+      const ExperimentResult result =
+          RunExperiment(driven_system, *driven, nullptr, experiment);
+      EXPECT_EQ(result.op_latency_ns.count(), by_hand.count());
+      EXPECT_EQ(result.op_latency_ns.min(), by_hand.min());
+      EXPECT_EQ(result.op_latency_ns.max(), by_hand.max());
+      EXPECT_DOUBLE_EQ(result.op_latency_ns.Mean(), by_hand.Mean());
+      EXPECT_EQ(result.op_latency_ns.Percentile(0.5), by_hand.Percentile(0.5));
+      EXPECT_EQ(result.op_latency_ns.Percentile(0.99), by_hand.Percentile(0.99));
+    }
+  }
 }
 
 template <typename WorkloadT, typename ConfigT>
