@@ -44,11 +44,8 @@ StatusOr<PlacementDecision> AnalyticalPolicy::Decide(const PlacementInput& input
   const auto start = std::chrono::steady_clock::now();
   const int n_tiers = model.tiers().count();
 
+  stats_.last_solve_ms = 0.0;
   stats_.last_solver_used = false;
-  stats_.last_warm = false;
-  stats_.last_warm_fallback = false;
-  stats_.last_groups_changed = 0;
-  stats_.last_shards = 1;
   stats_.last_marginal_gradient = 0.0;
 
   // Knob endpoints have exact answers (Fig. 5): alpha = 1 keeps everything in
@@ -102,14 +99,17 @@ StatusOr<PlacementDecision> AnalyticalPolicy::Decide(const PlacementInput& input
   const double mts = tco_max - tco_min;
   problem.capacity = tco_min + alpha_ * mts;
 
-  auto solution = incremental_ ? solver_.Solve(problem, &state_, input.changed_hint)
-                               : solver_.Solve(problem);
+  // Both exits below record the wall time: a failed solve spent it too.
+  const auto record_solve_time = [&] {
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    stats_.last_solve_ms =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count() / 1e6;
+    stats_.total_solve_ms += stats_.last_solve_ms;
+  };
+  auto solution = solver_.Solve(problem);
   stats_.last_solver_used = true;
-  stats_.last_warm = solver_.stats().warm;
-  stats_.last_warm_fallback = solver_.stats().warm_fallback;
-  stats_.last_groups_changed = solver_.stats().groups_changed;
-  stats_.last_shards = solver_.stats().shards_used;
   if (!solution.ok()) {
+    record_solve_time();
     return solution.status();
   }
   TS_CHECK(ValidateSolution(problem, *solution).ok());
@@ -120,11 +120,8 @@ StatusOr<PlacementDecision> AnalyticalPolicy::Decide(const PlacementInput& input
   }
   stats_.last_marginal_gradient = gradient;
 
-  const auto elapsed = std::chrono::steady_clock::now() - start;
+  record_solve_time();
   ++stats_.solves;
-  stats_.last_solve_ms =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count() / 1e6;
-  stats_.total_solve_ms += stats_.last_solve_ms;
   stats_.last_groups = problem.groups.size();
   stats_.last_budget = problem.capacity;
   stats_.last_tco_min = tco_min;

@@ -19,20 +19,17 @@ class AnalyticalPolicy : public PlacementPolicy {
  public:
   struct Stats {
     std::uint64_t solves = 0;
-    double last_solve_ms = 0.0;    // real wall-clock of the last Solve call
+    // Wall-clock of the last Decide's solve, zero when it ran no solver
+    // (alpha endpoints); a failed solve still reports the time it took.
+    double last_solve_ms = 0.0;
     double total_solve_ms = 0.0;
     std::size_t last_groups = 0;
     double last_budget = 0.0;      // the TCO cap handed to the solver
     double last_tco_min = 0.0;
     double last_tco_max = 0.0;
-    // Last Decide's solver path (DESIGN.md §4e). last_solver_used is false
-    // for the alpha-endpoint fast paths, which never touch the MCKP solver —
-    // the fields below are only meaningful when it is true.
+    // False for the alpha-endpoint fast paths, which never touch the MCKP
+    // solver.
     bool last_solver_used = false;
-    bool last_warm = false;              // delta-repair produced the plan
-    bool last_warm_fallback = false;     // incumbent present but full solve ran
-    std::size_t last_groups_changed = 0;  // churn the solver saw this window
-    int last_shards = 1;
     // Marginal TCO-vs-performance gradient of the last plan: the steepest
     // perf_ovh reduction (Eq. 7 ns) available per extra normalized TCO
     // dollar, maximized over every region's unchosen upgrades — the LP
@@ -52,29 +49,13 @@ class AnalyticalPolicy : public PlacementPolicy {
 
   // The analytical model does not special-case the DecisionContext: pinned
   // regions are enforced downstream by the MigrationFilter's unconditional
-  // pinned class, which keeps the solver inputs — and therefore the §4e
-  // warm-start digests — independent of pin churn.
+  // pinned class, which keeps the solver inputs independent of pin churn.
   StatusOr<PlacementDecision> Decide(const PlacementInput& input, const CostModel& model,
                                      const DecisionContext& ctx) override;
 
   // Forwarded to the MCKP solver (timeout/infeasibility injection,
   // DESIGN.md §4d); TsDaemon wires this from its assembly's injector.
   void set_fault_injector(FaultInjector* fault) { solver_.set_fault_injector(fault); }
-
-  // Warm-start incremental solving (DESIGN.md §4e): when enabled, Decide
-  // carries an MckpIncrementalState across windows and passes the caller's
-  // PlacementInput::changed_hint through to the solver. Disabling drops the
-  // incumbent.
-  void set_incremental(bool enabled) {
-    incremental_ = enabled;
-    if (!enabled) {
-      state_.Reset();
-    }
-  }
-  bool incremental() const { return incremental_; }
-
-  // Sharded solving (DESIGN.md §4e); TsDaemon wires the engine's pool.
-  void set_solver_shards(int shards, ThreadPool* pool) { solver_.set_shards(shards, pool); }
 
   const Stats& stats() const { return stats_; }
   // The underlying solver's per-solve counters for the last Solve call.
@@ -84,8 +65,6 @@ class AnalyticalPolicy : public PlacementPolicy {
   double alpha_;
   std::string name_;
   MckpSolver solver_;
-  bool incremental_ = false;
-  MckpIncrementalState state_;
   Stats stats_;
 };
 

@@ -28,8 +28,8 @@ Status FastPathConfig::Validate() const {
   return OkStatus();
 }
 
-FastPath::FastPath(const FastPathConfig& config, TieringEngine& engine, HotnessTable& hotness)
-    : config_(config), engine_(engine), hotness_(hotness) {
+FastPath::FastPath(const FastPathConfig& config, TieringEngine& engine)
+    : config_(config), engine_(engine) {
   MetricsRegistry& metrics = engine_.obs().metrics;
   m_promotions_ = &metrics.GetCounter("fastpath/promotions");
   m_promoted_pages_ = &metrics.GetCounter("fastpath/promoted_pages");
@@ -62,9 +62,6 @@ Status FastPath::OnEvent() {
     ++window_stats_.promotions;
     m_promotions_->Add();
     m_promoted_pages_->Add(moved->moved);
-    // Warm-start coupling (§4e): the promoted region's placement moved even
-    // if its bucket did not, so the next boundary solve must revisit it.
-    hotness_.ForceChanged(region);
     // Ping-pong: demoted by a boundary within the last M windows and now hot
     // enough to pull back — pin it to DRAM for the next M boundary solves.
     const auto demoted = last_demoted_.find(region);

@@ -20,10 +20,6 @@
 //    solver fallback or unrealized pages) doubles the effective K (capped),
 //    and after `suppress_after` consecutive degraded windows speculative
 //    promotion is disarmed entirely until a clean window.
-//
-// Every mid-window promotion calls HotnessTable::ForceChanged so the §4e
-// warm-start bitmap re-solves the promoted region at the next boundary
-// (composing ROADMAP items 4 + 5).
 #ifndef SRC_CORE_FAST_PATH_H_
 #define SRC_CORE_FAST_PATH_H_
 
@@ -32,7 +28,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/telemetry/hotness.h"
 #include "src/tiering/engine.h"
 
 namespace tierscape {
@@ -72,7 +67,7 @@ class FastPath {
   // Arms the sampler's streak detector; resolves "fastpath/..." handles from
   // the engine's observability scope (handle resolution at construction,
   // DESIGN.md §4b). `config` must already be validated.
-  FastPath(const FastPathConfig& config, TieringEngine& engine, HotnessTable& hotness);
+  FastPath(const FastPathConfig& config, TieringEngine& engine);
 
   // Trigger pump, called by TsDaemon::Observe between workload ops on the
   // sequential path: drains the sampler's K-hit queue (crossing order) and
@@ -103,7 +98,6 @@ class FastPath {
 
   FastPathConfig config_;
   TieringEngine& engine_;
-  HotnessTable& hotness_;
   std::uint64_t window_ = 0;  // index of the window currently filling
   std::uint32_t effective_hits_ = 0;
   std::uint64_t consecutive_degraded_ = 0;

@@ -14,6 +14,9 @@ namespace {
 // migration cost in expected next-window overhead (§6.7 hysteresis, DESIGN.md
 // §5b item 9).
 constexpr double kMoveCostFactor = 0.5;
+// Hysteresis (§6.7): a TCO-motivated move must cut the region's TCO by at
+// least this fraction of its DRAM TCO.
+constexpr double kHysteresis = 0.02;
 
 }  // namespace
 
@@ -25,10 +28,6 @@ Status FilterConfig::Validate() const {
   if (demotion_benefit_factor < 0.0) {
     return InvalidArgument("FilterConfig: demotion_benefit_factor must be >= 0, got " +
                            std::to_string(demotion_benefit_factor));
-  }
-  if (hysteresis < 0.0 || hysteresis >= 1.0) {
-    return InvalidArgument("FilterConfig: hysteresis must be in [0, 1), got " +
-                           std::to_string(hysteresis));
   }
   return OkStatus();
 }
@@ -87,7 +86,7 @@ FilterStats MigrationFilter::Apply(const PlacementInput& input, PlacementDecisio
       const double cur_perf = model.RegionPerfCost(region.region, region.hotness,
                                                    region.current_tier);
       const double dst_perf = model.RegionPerfCost(region.region, region.hotness, dst);
-      const bool tco_gain = dst_tco < cur_tco - config_.hysteresis * dram_tco;
+      const bool tco_gain = dst_tco < cur_tco - kHysteresis * dram_tco;
       // Moving a region costs real work; a perf-motivated move must recoup
       // kMoveCostFactor of it within the next window.
       double move_cost = 0.0;

@@ -30,11 +30,10 @@ struct FilterConfig {
   // Skip demotions where expected next-window fault cost exceeds this
   // multiple of the migration cost.
   double demotion_benefit_factor = 4.0;
-  // Hysteresis: drop moves that improve neither TCO nor performance by at
-  // least this fraction (damps churn between near-equivalent tiers). The
-  // Waterfall model disables this — its aging steps are intentional even
-  // when an individual hop's TCO gain is small.
-  double hysteresis = 0.02;
+  // Hysteresis: drop moves that improve neither TCO nor performance by a
+  // minimum margin (damps churn between near-equivalent tiers). The
+  // Waterfall model disables it — its aging steps are intentional even when
+  // an individual hop's TCO gain is small.
   bool enable_hysteresis = true;
 
   // Rejects nonsensical knobs; checked with the owning DaemonConfig.

@@ -6,6 +6,15 @@
 #include "src/core/analytical.h"
 
 namespace tierscape {
+namespace {
+
+// Virtual cost charged per (region x tier) cell of a local solve (§8.4). The
+// charge is always modeled, never measured, so experiments stay
+// deterministic; wall-clock solve time is recorded only in
+// WindowRecord::solve_ms for reporting.
+constexpr Nanos kSolveCostPerCell = 40;
+
+}  // namespace
 
 Status DaemonConfig::Validate() const {
   if (profile_window == 0 && window_ops == 0) {
@@ -16,10 +25,6 @@ Status DaemonConfig::Validate() const {
   if (threshold_percentile < 0.0 || threshold_percentile > 100.0) {
     return InvalidArgument("DaemonConfig: threshold_percentile must be in [0, 100], got " +
                            std::to_string(threshold_percentile));
-  }
-  if (solver_shards < 1) {
-    return InvalidArgument("DaemonConfig: solver_shards must be >= 1, got " +
-                           std::to_string(solver_shards));
   }
   if (mode != DaemonMode::kProfileOnly && mode != DaemonMode::kPlace) {
     return InvalidArgument("DaemonConfig: mode is not a DaemonMode value");
@@ -49,20 +54,13 @@ TsDaemon::TsDaemon(TieringEngine& engine, PlacementPolicy* policy, DaemonConfig 
   if (auto* analytical = dynamic_cast<AnalyticalPolicy*>(policy_)) {
     // Wire the assembly's fault injector into the solver (DESIGN.md §4d).
     analytical->set_fault_injector(engine.tiers().fault());
-    // Warm-start + sharded solving (DESIGN.md §4e): the shard count, not the
-    // pool size, determines the solver's result, so sharing the engine's
-    // pool keeps the workers-into-disjoint-slots invariant intact.
-    analytical->set_incremental(config_.incremental_solver);
-    if (config_.solver_shards > 1) {
-      analytical->set_solver_shards(config_.solver_shards, &engine.thread_pool());
-    }
   }
   for (std::uint64_t region = 0; region < engine.space().total_regions(); ++region) {
     hotness_.Track(region);
   }
   if (config_.fast_path.enabled) {
     // Arms the sampler's streak detector and resolves its own handles.
-    fast_path_ = std::make_unique<FastPath>(config_.fast_path, engine_, hotness_);
+    fast_path_ = std::make_unique<FastPath>(config_.fast_path, engine_);
   }
   MetricsRegistry& metrics = engine.obs().metrics;
   m_windows_ = &metrics.GetCounter("daemon/windows");
@@ -72,9 +70,6 @@ TsDaemon::TsDaemon(TieringEngine& engine, PlacementPolicy* policy, DaemonConfig 
   m_migrated_pages_ = &metrics.GetCounter("daemon/migrated_pages");
   m_solver_solves_ = &metrics.GetCounter("solver/solves");
   m_solver_cells_ = &metrics.GetCounter("solver/cells");
-  m_solver_warm_solves_ = &metrics.GetCounter("solver/warm_solves");
-  m_solver_warm_fallbacks_ = &metrics.GetCounter("solver/warm_fallbacks");
-  m_solver_groups_changed_ = &metrics.GetCounter("solver/groups_changed");
   m_degraded_windows_ = &metrics.GetCounter("fault/daemon/degraded_windows");
   m_solver_fallbacks_ = &metrics.GetCounter("fault/daemon/solver_fallbacks");
   m_unrealized_pages_ = &metrics.GetCounter("fault/daemon/unrealized_pages");
@@ -152,27 +147,15 @@ Status TsDaemon::OnWindowEnd() {
   // lookup (values identical to an unwarmed serial run).
   if (config_.mode == DaemonMode::kPlace) {
     cost_model_.PrewarmRatios(engine_.space().total_regions(), engine_.thread_pool());
-    // Incremental mode feeds bucket-stable hotness plus the changed-bucket
-    // bitmap (DESIGN.md §4e) so an unflagged region's solver inputs really
-    // are byte-identical to the previous window's.
-    const bool incremental =
-        config_.incremental_solver && dynamic_cast<AnalyticalPolicy*>(policy_) != nullptr;
     PlacementInput input;
     input.regions.reserve(engine_.space().total_regions());
     for (std::uint64_t region = 0; region < engine_.space().total_regions(); ++region) {
-      input.regions.push_back(
-          RegionProfile{.region = region,
-                        .hotness = incremental ? hotness_.BucketedHotness(region)
-                                               : hotness_.Hotness(region),
-                        .current_tier = engine_.RegionTier(region)});
+      input.regions.push_back(RegionProfile{.region = region,
+                                            .hotness = hotness_.Hotness(region),
+                                            .current_tier = engine_.RegionTier(region)});
     }
     input.hotness_threshold = hotness_.Percentile(config_.threshold_percentile);
     record.hotness_threshold = input.hotness_threshold;
-    std::vector<std::uint8_t> changed_bitmap;
-    if (incremental) {
-      changed_bitmap = hotness_.ChangedBitmap(engine_.space().total_regions());
-      input.changed_hint = &changed_bitmap;
-    }
 
     // Cross-cutting window context (§4h API): the §4d ladder's standing plus
     // the fast path's pins and mid-window activity during the closing window.
@@ -191,34 +174,19 @@ Status TsDaemon::OnWindowEnd() {
     // with the application; a remote solver costs one RPC round trip.
     if (auto* analytical = dynamic_cast<AnalyticalPolicy*>(policy_)) {
       record.solve_ms = analytical->stats().last_solve_ms;
-      record.solver_warm = analytical->stats().last_warm;
-      record.solver_warm_fallback = analytical->stats().last_warm_fallback;
-      record.solver_groups_changed = analytical->stats().last_groups_changed;
       record.marginal_gradient = analytical->stats().last_marginal_gradient;
       m_marginal_gradient_->Set(record.marginal_gradient);
       Nanos solve_cost = 0;
       if (config_.remote_solver) {
         solve_cost = config_.remote_rpc_latency;
       } else {
-        // A warm delta-repair only touches the changed groups' cells, so the
-        // §8.4 modeled charge scales with churn instead of instance size.
-        const std::uint64_t cells = analytical->stats().last_warm
-                                        ? record.solver_groups_changed
-                                        : input.regions.size();
-        solve_cost = cells * engine_.tiers().count() * config_.solve_cost_per_cell;
+        solve_cost = input.regions.size() * engine_.tiers().count() * kSolveCostPerCell;
       }
       engine_.Compute(solve_cost);
       record.solve_cost_ns = solve_cost;
       charged_overhead_ns_ += solve_cost;
       m_solver_solves_->Add();
       m_solver_cells_->Add(input.regions.size() * engine_.tiers().count());
-      if (record.solver_warm) {
-        m_solver_warm_solves_->Add();
-      }
-      if (record.solver_warm_fallback) {
-        m_solver_warm_fallbacks_->Add();
-      }
-      m_solver_groups_changed_->Add(record.solver_groups_changed);
       m_solve_ns_->Add(solve_cost);
       m_wall_last_solve_ms_->Set(analytical->stats().last_solve_ms);
       m_wall_total_solve_ms_->Set(analytical->stats().total_solve_ms);

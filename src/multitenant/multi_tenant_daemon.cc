@@ -20,6 +20,9 @@ namespace {
 // costs; DESIGN.md §4f).
 constexpr Nanos kArbiterDecisionCostNs = 2 * kMicro;
 
+// Capacity of the shared compressed side-cache's NVMM medium (§4g).
+constexpr std::size_t kSharedCacheBytes = 64 * kMiB;
+
 std::uint64_t SumFaults(const TsDaemon::WindowRecord& record) {
   std::uint64_t total = 0;
   for (const std::uint64_t f : record.faults) {
@@ -42,10 +45,6 @@ Status MultiTenantConfig::Validate() const {
   }
   if (threads < 1) {
     return InvalidArgument("MultiTenantConfig: threads must be >= 1");
-  }
-  if (shared_cache_ops > 0 && shared_cache_bytes < kMiB) {
-    return InvalidArgument("MultiTenantConfig: shared_cache_bytes must be >= 1 MiB when the "
-                           "shared cache is enabled");
   }
   return OkStatus();
 }
@@ -161,7 +160,7 @@ void MultiTenantDaemon::SetupTenantShard(Tenant& tenant) {
 
 Status MultiTenantDaemon::BuildSharedCache() {
   shared_cache_obs_ = std::make_unique<Observability>();
-  shared_cache_medium_ = std::make_unique<Medium>(NvmmSpec(config_.shared_cache_bytes));
+  shared_cache_medium_ = std::make_unique<Medium>(NvmmSpec(kSharedCacheBytes));
   shared_cache_ = std::make_unique<ZswapBackend>(*shared_cache_obs_);
   CompressedTierConfig tier;
   tier.label = "SC";

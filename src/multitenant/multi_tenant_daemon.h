@@ -71,17 +71,16 @@ struct MultiTenantConfig {
   std::uint64_t base_seed = 42;  // tenant i runs with SplitSeed(base_seed, i)
   bool trace = false;            // enable per-tenant trace recorders
   // Shared compressed side-cache (DESIGN.md §4g): when > 0, the daemon hosts
-  // one extra shared Medium + ZswapBackend and every tenant window shard
-  // churns (store → load → invalidate) this many entries per window through
-  // the concurrent MPMC access path — the MaxMem-style colocation pattern of
-  // tenant shards hitting shared compressed media at once. Keys are
-  // partitioned by tenant index, latencies are pure functions of compressed
-  // size parked in the tenant slot and charged on the orchestrator in
-  // ascending tenant order, and all shared accounting commits at the
+  // one extra shared 64 MiB Medium + ZswapBackend and every tenant window
+  // shard churns (store → load → invalidate) this many entries per window
+  // through the concurrent MPMC access path — the MaxMem-style colocation
+  // pattern of tenant shards hitting shared compressed media at once. Keys
+  // are partitioned by tenant index, latencies are pure functions of
+  // compressed size parked in the tenant slot and charged on the orchestrator
+  // in ascending tenant order, and all shared accounting commits at the
   // orchestrator's FlushAccounting — so results stay byte-identical across
   // pool sizes. 0 disables the cache (default; paper figures unchanged).
   std::uint64_t shared_cache_ops = 0;
-  std::size_t shared_cache_bytes = 64 * kMiB;
   // Parent observability scope (arbiter + aggregate metrics). Null means the
   // process-wide default; tests pass a private instance.
   Observability* obs = nullptr;

@@ -1,7 +1,6 @@
 #include "src/telemetry/hotness.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/histogram.h"
 
@@ -18,71 +17,11 @@ void HotnessTable::EndWindow(
   for (const auto& [region, count] : window_samples) {
     hotness_[region] += static_cast<double>(count);
   }
-  // Refresh buckets and per-window changed flags (DESIGN.md §4e). Note the
-  // halving moves every raw value but a steady region's bucket is a fixpoint:
-  // halving drops it one bucket and the fresh samples put it back.
-  for (const auto& [region, value] : hotness_) {
-    const int bucket = BucketOf(value);
-    auto [it, inserted] = buckets_.try_emplace(region, BucketState{bucket, true});
-    if (!inserted) {
-      it->second.changed = it->second.bucket != bucket;
-      it->second.bucket = bucket;
-    }
-  }
-  // Fold in mid-window ForceChanged marks (§4h fast-path promotions): the
-  // region's placement moved even if its bucket did not, so the warm-start
-  // bitmap must flag it for this boundary's solve.
-  for (const std::uint64_t region : forced_changed_) {
-    auto it = buckets_.find(region);
-    if (it != buckets_.end()) {
-      it->second.changed = true;
-    }
-  }
-  forced_changed_.clear();
 }
-
-void HotnessTable::ForceChanged(std::uint64_t region) { forced_changed_.push_back(region); }
 
 double HotnessTable::Hotness(std::uint64_t region) const {
   auto it = hotness_.find(region);
   return it == hotness_.end() ? 0.0 : it->second;
-}
-
-int HotnessTable::BucketOf(double hotness) {
-  if (!(hotness >= 1.0)) {
-    return 0;  // below one decayed sample: cold
-  }
-  return 1 + std::ilogb(hotness);
-}
-
-double HotnessTable::BucketValue(int bucket) {
-  if (bucket <= 0) {
-    return 0.0;
-  }
-  // Geometric midpoint of [2^(bucket-1), 2^bucket).
-  return 1.5 * std::ldexp(1.0, bucket - 1);
-}
-
-int HotnessTable::Bucket(std::uint64_t region) const {
-  auto it = buckets_.find(region);
-  return it == buckets_.end() ? 0 : it->second.bucket;
-}
-
-double HotnessTable::BucketedHotness(std::uint64_t region) const {
-  return BucketValue(Bucket(region));
-}
-
-bool HotnessTable::BucketChanged(std::uint64_t region) const {
-  auto it = buckets_.find(region);
-  return it == buckets_.end() || it->second.changed;
-}
-
-std::vector<std::uint8_t> HotnessTable::ChangedBitmap(std::uint64_t n_regions) const {
-  std::vector<std::uint8_t> changed(n_regions, 1);
-  for (std::uint64_t region = 0; region < n_regions; ++region) {
-    changed[region] = BucketChanged(region) ? 1 : 0;
-  }
-  return changed;
 }
 
 double HotnessTable::Percentile(double pct) const {

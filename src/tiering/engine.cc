@@ -158,10 +158,9 @@ Nanos TieringEngine::HandleFault(std::uint64_t page) {
   std::byte buffer[kPageSize];
   const Status load = ctier.Load(state.location, buffer);
   TS_CHECK(load.ok()) << "fault decompression failed: " << load.ToString();
-  if (config_.verify_contents) {
-    TS_CHECK_EQ(PageChecksum(buffer), state.checksum)
-        << "page " << page << " corrupted in tier " << ctier.label();
-  }
+  // Every fault verifies the page contents against the checksum taken at store.
+  TS_CHECK_EQ(PageChecksum(buffer), state.checksum)
+      << "page " << page << " corrupted in tier " << ctier.label();
   const Nanos fault_cost = ctier.LoadCost(state.compressed_size);
   ctier.RecordFault();
   auto& record = window_faults_[state.tier];

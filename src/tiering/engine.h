@@ -39,8 +39,6 @@ struct EngineConfig {
   // runs migration on TS-Daemon's dedicated push threads (PT2 in the
   // artifact), so the application only sees bandwidth interference.
   double migration_interference = 0.05;
-  // Verify page contents against checksums on every decompression fault.
-  bool verify_contents = true;
   // Push threads (PT2, §7.2) running the migration pipeline's compression
   // fan-out and the cost model's ratio sweep. Wall-clock only: virtual-time
   // results are byte-identical for every value (including 1 = serial).

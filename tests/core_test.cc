@@ -12,6 +12,7 @@
 #include "src/core/tier_specs.h"
 #include "src/core/ts_daemon.h"
 #include "src/core/waterfall.h"
+#include "src/fault/fault_injector.h"
 
 namespace tierscape {
 namespace {
@@ -212,6 +213,45 @@ TEST_F(CostModelFixture, AnalyticalMidAlphaRecordsBudgetStats) {
   EXPECT_GT(policy.stats().last_tco_max, policy.stats().last_tco_min);
   EXPECT_GE(policy.stats().last_budget, policy.stats().last_tco_min);
   EXPECT_LE(policy.stats().last_budget, policy.stats().last_tco_max);
+}
+
+TEST_F(CostModelFixture, AnalyticalEndpointReportsNoSolveTime) {
+  // The alpha endpoints never run the solver, so they must not report the
+  // previous window's solve time as their own.
+  AnalyticalPolicy policy(0.5);
+  ASSERT_TRUE(policy.Decide(MakeInput(3, 0.0), *model_, DecisionContext{}).ok());
+  EXPECT_TRUE(policy.stats().last_solver_used);
+  const double total = policy.stats().total_solve_ms;
+  for (const double alpha : {1.0, 0.0}) {
+    policy.set_alpha(alpha);
+    ASSERT_TRUE(policy.Decide(MakeInput(3, 0.0), *model_, DecisionContext{}).ok());
+    EXPECT_FALSE(policy.stats().last_solver_used) << "alpha " << alpha;
+    EXPECT_EQ(policy.stats().last_solve_ms, 0.0) << "alpha " << alpha;
+    EXPECT_EQ(policy.stats().total_solve_ms, total) << "alpha " << alpha;
+  }
+}
+
+TEST_F(CostModelFixture, AnalyticalFailedSolveReportsItsOwnTime) {
+  // Under injected solver timeouts every Decide reports the time it spent
+  // itself (zero at an endpoint), so the per-call times add up to the total.
+  FaultConfig config;
+  config.seed = 61;
+  config.solver_timeout_rate = 0.5;
+  FaultInjector fault(config);
+  AnalyticalPolicy policy(0.5);
+  policy.set_fault_injector(&fault);
+  double sum = 0.0;
+  int failed = 0;
+  for (int call = 0; call < 16; ++call) {
+    policy.set_alpha(call % 4 == 3 ? 1.0 : 0.5);
+    if (!policy.Decide(MakeInput(3, 0.0), *model_, DecisionContext{}).ok()) {
+      ++failed;
+    }
+    sum += policy.stats().last_solve_ms;
+  }
+  EXPECT_GT(failed, 0);
+  EXPECT_LT(failed, 12);
+  EXPECT_EQ(policy.stats().total_solve_ms, sum);
 }
 
 TEST_F(CostModelFixture, AnalyticalPrefersDramForHotRegions) {

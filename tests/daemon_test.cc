@@ -148,39 +148,5 @@ TEST_F(DaemonFixture, StrayPagesRepackedWhenThresholdCrossed) {
   EXPECT_LT(engine_->PagesPerTier()[0], kPagesPerRegion / 8);
 }
 
-TEST_F(DaemonFixture, IncrementalSolverWarmStartsAfterBucketsSettle) {
-  // DESIGN.md §4e: with incremental_solver on, the daemon feeds the policy
-  // bucket-stable hotness plus the changed-bucket bitmap; once the access
-  // pattern's buckets settle, windows warm-start, report their churn, and
-  // charge the §8.4 modeled cost for the changed cells only.
-  AnalyticalPolicy policy(0.2);
-  DaemonConfig config;
-  config.window_ops = 200;
-  config.incremental_solver = true;
-  config.solver_shards = 2;
-  TsDaemon daemon(*engine_, &policy, config);
-  for (int op = 0; op < 4000; ++op) {
-    engine_->Access((op % 128) * kPageSize, false);
-    ASSERT_TRUE(daemon.Observe(AccessEvent{}).ok());
-  }
-  ASSERT_GE(daemon.history().size(), 10u);
-  EXPECT_FALSE(daemon.history().front().solver_warm);
-  const std::uint64_t regions = daemon.history().front().recommended_pages.empty()
-                                    ? 0
-                                    : engine_->space().total_regions();
-  bool any_warm = false;
-  for (const auto& record : daemon.history()) {
-    if (record.solver_warm) {
-      any_warm = true;
-      EXPECT_LE(record.solver_groups_changed, regions);
-      // Warm windows charge per changed cell, never more than a full solve.
-      EXPECT_LE(record.solve_cost_ns,
-                static_cast<Nanos>(regions) * engine_->tiers().count() *
-                    config.solve_cost_per_cell);
-    }
-  }
-  EXPECT_TRUE(any_warm);
-}
-
 }  // namespace
 }  // namespace tierscape

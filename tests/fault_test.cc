@@ -342,6 +342,31 @@ TEST(GracefulDegradationTest, SolverTimeoutFallsBackAndMarksWindowsDegraded) {
             result.windows.size());
 }
 
+TEST(GracefulDegradationTest, FailedSolvesReportTheirOwnSolveTime) {
+  // A timed-out window records the time its own solve took, not the previous
+  // window's, so the run's total equals the policy's.
+  FaultConfig fault;
+  fault.seed = 67;
+  fault.solver_timeout_rate = 0.5;
+  SystemConfig system_config = StandardMixConfig(64 * kMiB, 256 * kMiB);
+  system_config.fault = fault;
+  TieredSystem system(system_config);
+  MasimWorkload workload(DefaultMasimConfig(32 * kMiB));
+  AnalyticalPolicy policy(0.3);
+  ExperimentConfig config;
+  config.ops = 8000;
+  config.target_windows = 8;
+  const ExperimentResult result = RunExperiment(system, workload, &policy, config);
+
+  std::size_t fallbacks = 0;
+  for (const auto& window : result.windows) {
+    fallbacks += window.solver_fallback ? 1 : 0;
+  }
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_LT(fallbacks, result.windows.size());
+  EXPECT_EQ(result.total_solve_ms, policy.stats().total_solve_ms);
+}
+
 TEST(GracefulDegradationTest, ModerateFaultsStillMakePlacementProgress) {
   FaultConfig fault = FaultConfig::Uniform(59, 0.1);
   SystemConfig system_config = StandardMixConfig(64 * kMiB, 256 * kMiB);

@@ -122,8 +122,8 @@ TEST(IntegrationTest, StoreHeavyWorkloadSurvivesCompression) {
   MasimWorkload workload(config);
   AnalyticalPolicy policy(0.1);
   const ExperimentResult r = RunExperiment(system, workload, &policy, SmallConfig());
-  // verify_contents is on by default: reaching here means every fault's
-  // checksum matched. The workload must actually have faulted for this to
+  // Every fault verifies its page's checksum: reaching here means every one
+  // matched. The workload must actually have faulted for this to
   // be meaningful.
   EXPECT_GT(r.total_faults, 0u);
 }

@@ -113,63 +113,5 @@ TEST(HotnessTest, UntrackedSampledRegionBecomesTracked) {
   EXPECT_DOUBLE_EQ(table.Hotness(9), 3.0);
 }
 
-TEST(HotnessTest, BucketEdges) {
-  // Log2 buckets (DESIGN.md §4e): 0 below one decayed sample, then one
-  // bucket per power of two, with the canonical value at the geometric
-  // midpoint.
-  EXPECT_EQ(HotnessTable::BucketOf(0.0), 0);
-  EXPECT_EQ(HotnessTable::BucketOf(0.9), 0);
-  EXPECT_EQ(HotnessTable::BucketOf(1.0), 1);
-  EXPECT_EQ(HotnessTable::BucketOf(1.99), 1);
-  EXPECT_EQ(HotnessTable::BucketOf(2.0), 2);
-  EXPECT_EQ(HotnessTable::BucketOf(3.9), 2);
-  EXPECT_EQ(HotnessTable::BucketOf(4.0), 3);
-  EXPECT_DOUBLE_EQ(HotnessTable::BucketValue(0), 0.0);
-  EXPECT_DOUBLE_EQ(HotnessTable::BucketValue(1), 1.5);
-  EXPECT_DOUBLE_EQ(HotnessTable::BucketValue(2), 3.0);
-  EXPECT_DOUBLE_EQ(HotnessTable::BucketValue(3), 6.0);
-}
-
-TEST(HotnessTest, BucketStableUnderSteadySampling) {
-  // The raw EWMA value moves every window (the halving alone), but a region
-  // sampled at a steady rate keeps its bucket — the temporal stability the
-  // incremental solver exploits (DESIGN.md §4e).
-  HotnessTable table;
-  table.Track(1);
-  table.Track(2);  // never sampled: cold and stable
-  table.EndWindow({{1, 8}});
-  EXPECT_TRUE(table.BucketChanged(1));  // first window counts as a change
-  for (int window = 0; window < 5; ++window) {
-    table.EndWindow({{1, 8}});
-    // 8, 12, 14, 15, ... -> always in [8, 16): bucket 4 throughout.
-    EXPECT_EQ(table.Bucket(1), 4) << "window " << window;
-    EXPECT_FALSE(table.BucketChanged(1)) << "window " << window;
-    EXPECT_FALSE(table.BucketChanged(2)) << "window " << window;
-    EXPECT_DOUBLE_EQ(table.BucketedHotness(1), 12.0);
-  }
-  // A burst moves the bucket; once the EWMA settles into the new bucket the
-  // flag clears again.
-  table.EndWindow({{1, 100}});
-  EXPECT_TRUE(table.BucketChanged(1));  // ~108: bucket 7
-  table.EndWindow({{1, 100}});
-  EXPECT_TRUE(table.BucketChanged(1));  // ~154: crosses into bucket 8
-  table.EndWindow({{1, 100}});
-  EXPECT_FALSE(table.BucketChanged(1));  // ~177: settled in bucket 8
-}
-
-TEST(HotnessTest, ChangedBitmapDenseOverRegionIds) {
-  HotnessTable table;
-  table.Track(0);
-  table.Track(2);
-  table.EndWindow({{0, 8}});
-  table.EndWindow({{0, 8}});
-  const auto changed = table.ChangedBitmap(4);
-  ASSERT_EQ(changed.size(), 4u);
-  EXPECT_EQ(changed[0], 0);  // steady bucket
-  EXPECT_EQ(changed[1], 1);  // untracked: conservatively changed
-  EXPECT_EQ(changed[2], 0);  // tracked, never sampled, stable cold
-  EXPECT_EQ(changed[3], 1);  // untracked
-}
-
 }  // namespace
 }  // namespace tierscape

@@ -77,8 +77,6 @@ done
 for threads in 1 4; do
   grep -q '"bench":"micro_solver","cell":"cold/n1000","metric":"wall/solver/solve_ms"' \
     "$OUT/t$threads/BENCH_grid.json"
-  grep -q '"bench":"micro_solver","cell":"warm/n1000","metric":"wall/solver/warm_ms"' \
-    "$OUT/t$threads/BENCH_grid.json"
 done
 
 # The MPMC access-path bench must emit a per-cell wall/access/churn_ms record
