@@ -20,7 +20,7 @@ namespace {
 // costs; DESIGN.md §4f).
 constexpr Nanos kArbiterDecisionCostNs = 2 * kMicro;
 
-// Capacity of the shared compressed side-cache's NVMM medium (§4g).
+// Capacity of the shared compressed side-cache's NVMM medium (DESIGN.md §4g).
 constexpr std::size_t kSharedCacheBytes = 64 * kMiB;
 
 std::uint64_t SumFaults(const TsDaemon::WindowRecord& record) {
