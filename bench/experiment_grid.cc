@@ -47,12 +47,6 @@ ExperimentResult RunOneCell(const CellSpec& spec, Observability& obs, const Cell
     config.daemon.filter.demotion_benefit_factor = 1e18;
     config.daemon.filter.pressure_fault_limit = ~std::uint64_t{0};
   }
-  if (ctx.grid_threads > 1) {
-    // Nested-pool cap: a parallel grid keeps each cell's push pool serial so
-    // worker counts do not multiply. Wall-clock-only; virtual-time results
-    // are identical for every migrate_threads value by the pool invariant.
-    config.engine.migrate_threads = 1;
-  }
   if (ctx.smoke) {
     config.ops = SmokeOps(config.ops);
   }
@@ -65,15 +59,6 @@ ExperimentResult RunOneCell(const CellSpec& spec, Observability& obs, const Cell
 }
 
 }  // namespace
-
-int BenchThreads() {
-  const char* env = EnvOrNull("TIERSCAPE_BENCH_THREADS");
-  if (env == nullptr) {
-    return 1;
-  }
-  const int threads = std::atoi(env);
-  return threads >= 1 ? threads : 1;
-}
 
 bool BenchSmoke() {
   const char* env = EnvOrNull("TIERSCAPE_BENCH_SMOKE");
@@ -101,6 +86,11 @@ ExperimentGrid::ExperimentGrid(std::string name) : name_(std::move(name)) {
   trace_ = trace != nullptr && trace[0] == '1';
   const char* json = EnvOrNull("TIERSCAPE_BENCH_JSON");
   json_path_ = json != nullptr ? json : "";
+  const char* threads = EnvOrNull("TIERSCAPE_BENCH_THREADS");
+  if (threads != nullptr) {
+    const Status resized = ThreadPool::SetSharedThreadsForTesting(std::max(1, std::atoi(threads)));
+    TS_CHECK(resized.ok()) << resized.ToString();
+  }
 }
 
 std::size_t ExperimentGrid::Add(CellSpec spec) {
@@ -120,10 +110,9 @@ std::vector<ExperimentResult> ExperimentGrid::Run() {
   }
 
   CellContext ctx;
-  const int requested = threads_override_ > 0 ? threads_override_ : BenchThreads();
-  ctx.grid_threads = std::min<int>(requested, static_cast<int>(specs.size()));
   ctx.smoke = BenchSmoke();
-  last_threads_ = ctx.grid_threads;
+  ThreadPool& pool = ThreadPool::Shared();
+  last_threads_ = pool.threads();
 
   // Per-index slots: workers compute purely into their own slot; every
   // shared mutation below happens after ParallelFor returns, on this thread,
@@ -141,7 +130,6 @@ std::vector<ExperimentResult> ExperimentGrid::Run() {
   }
 
   const auto batch_start = std::chrono::steady_clock::now();
-  ThreadPool pool(ctx.grid_threads);
   pool.ParallelFor(specs.size(), [&](std::size_t i) {
     const auto cell_start = std::chrono::steady_clock::now();
     slots[i]->result = RunOneCell(specs[i], slots[i]->obs, ctx);

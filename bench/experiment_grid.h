@@ -2,22 +2,20 @@
 // EXPERIMENTS.md "Running the grid in parallel").
 //
 // A bench binary declares its full set of (system, workload, policy) cells up
-// front, then calls ExperimentGrid::Run(). Cells execute on a
-// ThreadPool::ParallelFor sized by TIERSCAPE_BENCH_THREADS (default 1 =
-// today's serial behavior); each worker runs its cell against a *private*
-// Observability instance and writes the ExperimentResult into a slot owned by
-// its index, so the pipeline invariant (thread_pool.h) holds for the grid
-// exactly as it does for the migration pipeline. Results, table rows, and
-// observability artifacts are committed on the submitting thread in ascending
-// cell order, which makes every output — stdout tables, merged metric
-// snapshots, merged traces — byte-identical for any thread count.
+// front, then calls ExperimentGrid::Run(). Cells execute on the process-wide
+// ThreadPool::Shared(), sized from the hardware or by TIERSCAPE_BENCH_THREADS
+// (1 = the whole process runs serially); each worker runs its cell against a
+// *private* Observability instance and writes the ExperimentResult into a
+// slot owned by its index, so the pipeline invariant (thread_pool.h) holds
+// for the grid exactly as it does for the migration pipeline. Results, table
+// rows, and observability artifacts are committed on the submitting thread
+// in ascending cell order, which makes every output — stdout tables, merged
+// metric snapshots, merged traces — byte-identical for any thread count.
 //
-// Nested parallelism: each cell's engine owns its own push-thread pool, which
-// is legal under the pool's non-reentrancy rule (separate pools), but when
-// the grid itself is parallel the runner caps the inner
-// EngineConfig::migrate_threads at 1 so a 4-thread grid does not fan out into
-// 4xN threads. Both knobs are wall-clock-only: capping never changes
-// virtual-time results.
+// Nested parallelism: each cell's migration fan-out and ratio sweep run on
+// the same shared pool (ParallelFor is reentrant), so cores that finished
+// cells freed pick up the compress work of the cells still running. The pool
+// size is wall-clock-only: it never changes virtual-time results.
 #ifndef BENCH_EXPERIMENT_GRID_H_
 #define BENCH_EXPERIMENT_GRID_H_
 
@@ -37,9 +35,6 @@
 namespace tierscape {
 namespace bench {
 
-// Grid worker count from TIERSCAPE_BENCH_THREADS (>= 1; unset/invalid = 1).
-int BenchThreads();
-
 // True when TIERSCAPE_BENCH_SMOKE=1: the CI smoke leg runs every bench at
 // tiny scale; standard cells get their op budget capped by SmokeOps.
 bool BenchSmoke();
@@ -48,11 +43,10 @@ bool BenchSmoke();
 std::uint64_t SmokeOps(std::uint64_t ops);
 
 // Facts about the Run() invocation a cell executes under, passed to custom
-// cell bodies so they can mirror the runner's own behavior (inner-pool cap,
-// smoke scaling) for the parts the runner cannot see into.
+// cell bodies so they can mirror the runner's own smoke scaling for the parts
+// the runner cannot see into.
 struct CellContext {
-  int grid_threads = 1;  // outer grid parallelism (1 = serial)
-  bool smoke = false;    // TIERSCAPE_BENCH_SMOKE
+  bool smoke = false;  // TIERSCAPE_BENCH_SMOKE
 };
 
 // One experiment cell. Either the standard (make_system, workload, policy)
@@ -91,6 +85,8 @@ class ExperimentGrid {
   //   $TIERSCAPE_OBS_DIR/<name>.metrics.jsonl   (merged, wall/ excluded)
   //   $TIERSCAPE_OBS_DIR/<name>.trace.json      (merged, TIERSCAPE_TRACE=1)
   // and the per-cell wall-time records appended to $TIERSCAPE_BENCH_JSON.
+  // When TIERSCAPE_BENCH_THREADS is set (>= 1; invalid = 1), resizes the
+  // shared pool to it.
   explicit ExperimentGrid(std::string name);
   ~ExperimentGrid();
 
@@ -99,11 +95,6 @@ class ExperimentGrid {
 
   // Queues a cell; returns its index within the next Run() batch.
   std::size_t Add(CellSpec spec);
-
-  // Overrides TIERSCAPE_BENCH_THREADS for this grid (0 = back to the env
-  // knob). Used by micro_grid and the grid determinism test to compare runs
-  // at pinned thread counts within one process.
-  void SetThreads(int threads) { threads_override_ = threads; }
 
   // Runs every queued cell and returns their results in Add() order.
   // May be called repeatedly (later batches can depend on earlier results,
@@ -142,7 +133,6 @@ class ExperimentGrid {
   std::string obs_dir_;    // "" disables artifact dump
   std::string json_path_;  // "" disables wall-time records
   bool trace_ = false;
-  int threads_override_ = 0;  // 0 = TIERSCAPE_BENCH_THREADS
 
   std::vector<CellSpec> pending_;
   std::vector<std::string> labels_;  // all labels ever added (uniqueness)
@@ -152,7 +142,7 @@ class ExperimentGrid {
   std::vector<TraceRecorder::Event> trace_events_;
   std::vector<CellTiming> timings_;
   double total_wall_ms_ = 0.0;
-  int last_threads_ = 1;
+  int last_threads_ = 1;  // shared pool size at the last Run()
 };
 
 }  // namespace bench

@@ -74,9 +74,9 @@ ExperimentResult RunColocationCell(int tenants, ArbiterPolicy policy, Observabil
   config.system = StandardMixConfig(/*dram_bytes=*/0, /*nvmm_bytes=*/3 * max_footprint);
   config.ops_per_window = ctx.smoke ? 300 : 1200;
   config.windows = ctx.smoke ? 3 : 6;
-  // Serial grid runs flex the daemon's own pool; a parallel grid caps it,
-  // mirroring the runner's nested-pool rule (experiment_grid.h).
-  config.threads = ctx.grid_threads > 1 ? 1 : 4;
+  // Tenant shards run on the shared pool, nested inside the grid's cells
+  // (thread_pool.h); wall-clock only.
+  config.threads = 4;
   config.obs = &obs;
 
   MultiTenantDaemon daemon(config);

@@ -6,11 +6,12 @@
 // occupancy) is identical across caller counts: the caller count is a
 // wall-clock-only knob, exactly like grid and migrate threads.
 //
-// Expected shape: near-linear throughput scaling while cores last —
-// compression and decompression run outside every lock, so the serial
-// remainder is the striped map updates and the under-lock pool copies. The
-// >=3x assertion at 8 callers runs at full scale on >=8-core machines with a
-// serial grid (a parallel grid caps callers at 1 per the nested-pool rule).
+// Callers run on the shared ThreadPool, one cell at a time so each caller
+// count has the whole pool. Expected shape: near-linear throughput scaling
+// while cores last — compression and decompression run outside every lock, so
+// the serial remainder is the striped map updates and the under-lock pool
+// copies. The >=3x assertion at 8 callers runs at full scale when the pool has
+// >= 8 threads on a >=8-core machine.
 // Wall times land in wall/access/* gauges and stderr; stdout carries only
 // deterministic outputs (tools/bench_smoke.sh diffs it across grid threads).
 #include <chrono>
@@ -23,6 +24,7 @@
 #include "src/common/logging.h"
 #include "src/common/rng.h"
 #include "src/common/table.h"
+#include "src/common/thread_pool.h"
 #include "src/compress/corpus.h"
 #include "src/mem/medium.h"
 #include "src/zswap/access_path.h"
@@ -38,7 +40,7 @@ constexpr int kTiers = 2;  // zsmalloc + zbud, sharing one NVMM medium
 
 // One caller's slot: virtual-time and count sums over its key partition.
 // Workers write only their own slot; the orchestrator merges in ascending
-// caller order (thread_pool.h invariant, mirrored here with raw threads).
+// caller order (thread_pool.h invariant).
 struct CallerSlot {
   Nanos virtual_ns = 0;
   std::uint64_t stores = 0;
@@ -54,7 +56,6 @@ struct CellOutput {
   double store_ms = 0.0;
   double load_ms = 0.0;
   double churn_ms = 0.0;
-  bool capped = false;  // parallel grid forced callers down to 1
 };
 
 double MsSince(std::chrono::steady_clock::time_point start) {
@@ -62,29 +63,7 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// Runs `fn(caller)` for every logical caller: one std::thread each when the
-// access path is being exercised MPMC, inline when capped to one. Logical
-// callers and their key partitions never change — only the thread count does.
-template <typename Fn>
-void FanOut(int callers, bool capped, const Fn& fn) {
-  if (capped || callers == 1) {
-    for (int c = 0; c < callers; ++c) {
-      fn(c);
-    }
-    return;
-  }
-  std::vector<std::thread> threads;
-  threads.reserve(callers);
-  for (int c = 0; c < callers; ++c) {
-    threads.emplace_back([&fn, c] { fn(c); });
-  }
-  for (std::thread& t : threads) {
-    t.join();
-  }
-}
-
-CellOutput RunAccessCell(int callers, std::uint64_t total_keys, Observability& obs,
-                         const CellContext& ctx) {
+CellOutput RunAccessCell(int callers, std::uint64_t total_keys, Observability& obs) {
   // Every cell stores the same total_keys pages under the same keys with the
   // same contents; key k lives in tier k % kTiers. Callers own contiguous
   // disjoint slices, so per-caller sums are pure functions of the partition.
@@ -102,18 +81,18 @@ CellOutput RunAccessCell(int callers, std::uint64_t total_keys, Observability& o
   TS_CHECK(zb_id.ok()) << zb_id.status().ToString();
   ZswapAccessPath& path = zswap.AccessPath();
 
+  // Each logical caller is one pool index; callers and their key partitions
+  // never change with the pool size, only how many run at once.
   CellOutput out;
-  // Nested-pool rule (bench/experiment_grid.h): a parallel grid keeps each
-  // cell single-threaded. Wall-clock-only — the logical partitioning stands.
-  out.capped = ctx.grid_threads > 1;
+  ThreadPool& pool = ThreadPool::Shared();
   const std::uint64_t per_caller = total_keys / static_cast<std::uint64_t>(callers);
   std::vector<CallerSlot> slots(static_cast<std::size_t>(callers));
 
   const auto store_start = std::chrono::steady_clock::now();
-  FanOut(callers, out.capped, [&path, &slots, per_caller](int caller) {
-    CallerSlot& slot = slots[static_cast<std::size_t>(caller)];
+  pool.ParallelFor(callers, [&path, &slots, per_caller](std::size_t caller) {
+    CallerSlot& slot = slots[caller];
     std::byte page[kPageSize];
-    const std::uint64_t begin = static_cast<std::uint64_t>(caller) * per_caller;
+    const std::uint64_t begin = caller * per_caller;
     for (std::uint64_t k = begin; k < begin + per_caller; ++k) {
       FillPage(CorpusProfile::kNci, SplitSeed(kContentSeed, k), page);
       auto stored = path.Store(static_cast<int>(k % kTiers), k, page);
@@ -126,11 +105,11 @@ CellOutput RunAccessCell(int callers, std::uint64_t total_keys, Observability& o
   out.store_ms = MsSince(store_start);
 
   const auto load_start = std::chrono::steady_clock::now();
-  FanOut(callers, out.capped, [&path, &slots, per_caller](int caller) {
-    CallerSlot& slot = slots[static_cast<std::size_t>(caller)];
+  pool.ParallelFor(callers, [&path, &slots, per_caller](std::size_t caller) {
+    CallerSlot& slot = slots[caller];
     std::byte page[kPageSize];
     std::byte expected[kPageSize];
-    const std::uint64_t begin = static_cast<std::uint64_t>(caller) * per_caller;
+    const std::uint64_t begin = caller * per_caller;
     for (std::uint64_t k = begin; k < begin + per_caller; ++k) {
       auto loaded = path.Load(static_cast<int>(k % kTiers), k, page);
       TS_CHECK(loaded.ok()) << "load key " << k << ": " << loaded.status().ToString();
@@ -142,9 +121,9 @@ CellOutput RunAccessCell(int callers, std::uint64_t total_keys, Observability& o
   });
   out.load_ms = MsSince(load_start);
 
-  FanOut(callers, out.capped, [&path, &slots, per_caller](int caller) {
-    CallerSlot& slot = slots[static_cast<std::size_t>(caller)];
-    const std::uint64_t begin = static_cast<std::uint64_t>(caller) * per_caller;
+  pool.ParallelFor(callers, [&path, &slots, per_caller](std::size_t caller) {
+    CallerSlot& slot = slots[caller];
+    const std::uint64_t begin = caller * per_caller;
     for (std::uint64_t k = begin; k < begin + per_caller; ++k) {
       const Status dropped = path.Invalidate(static_cast<int>(k % kTiers), k);
       TS_CHECK(dropped.ok()) << "invalidate key " << k << ": " << dropped.ToString();
@@ -194,14 +173,15 @@ int main() {
   const int caller_counts[] = {1, 2, 4, 8};
 
   ExperimentGrid grid("micro_access");
+  std::vector<ExperimentResult> results;
   for (const int callers : caller_counts) {
     CellSpec spec;
     spec.label = "c" + std::to_string(callers);
-    spec.run = [callers, total_keys](Observability& obs, const CellContext& ctx) {
+    spec.run = [callers, total_keys](Observability& obs, const CellContext&) {
       Gauge& wall_store_ms = obs.metrics.GetGauge("wall/access/store_ms");
       Gauge& wall_load_ms = obs.metrics.GetGauge("wall/access/load_ms");
       Gauge& wall_churn_ms = obs.metrics.GetGauge("wall/access/churn_ms");
-      const CellOutput out = RunAccessCell(callers, total_keys, obs, ctx);
+      const CellOutput out = RunAccessCell(callers, total_keys, obs);
       wall_store_ms.Set(out.store_ms);
       wall_load_ms.Set(out.load_ms);
       wall_churn_ms.Set(out.churn_ms);
@@ -219,12 +199,12 @@ int main() {
       result.extras.emplace_back("wall_store_ms", out.store_ms);
       result.extras.emplace_back("wall_load_ms", out.load_ms);
       result.extras.emplace_back("wall_churn_ms", out.churn_ms);
-      result.extras.emplace_back("wall_capped", out.capped ? 1.0 : 0.0);
       return result;
     };
     grid.Add(std::move(spec));
+    // One cell per Run(): the cells never race each other for the pool.
+    results.push_back(std::move(grid.Run().front()));
   }
-  const std::vector<ExperimentResult> results = grid.Run();
 
   // Hard invariant: the caller count is a wall-clock-only knob. Every
   // deterministic output must match the single-caller cell exactly.
@@ -255,13 +235,13 @@ int main() {
                      ? c1.Extra("wall_churn_ms") / r.Extra("wall_churn_ms")
                      : 0.0);
   }
-  if (!smoke && c8.Extra("wall_capped") == 0.0 && std::thread::hardware_concurrency() >= 8) {
+  const int pool_threads = ThreadPool::Shared().threads();
+  if (!smoke && pool_threads >= 8 && std::thread::hardware_concurrency() >= 8) {
     TS_CHECK_GT(speedup, 3.0)
         << "MPMC access-path speedup below 3x at 8 callers on a >=8-core machine";
   } else {
-    std::fprintf(stderr, "(speedup assertion skipped: smoke=%d capped=%d hw=%u)\n",
-                 smoke ? 1 : 0, c8.Extra("wall_capped") != 0.0 ? 1 : 0,
-                 std::thread::hardware_concurrency());
+    std::fprintf(stderr, "(speedup assertion skipped: smoke=%d pool=%d hw=%u)\n",
+                 smoke ? 1 : 0, pool_threads, std::thread::hardware_concurrency());
   }
   return 0;
 }

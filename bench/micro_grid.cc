@@ -1,8 +1,10 @@
 // Micro-benchmark: the experiment-grid runner itself. Runs the identical
-// 8-cell policy grid twice — once serial, once with 4 grid threads — and
-// TS_CHECKs that every deterministic output is byte-identical: per-cell
-// results (rendered to a table), the merged metrics artifact, and the merged
-// trace. Then reports the wall-clock speedup.
+// 8-cell policy grid twice — once as a fully serial process (shared pool at
+// 1 thread), once with the shared pool at 4 threads, where cells and their
+// migration fan-outs share the workers — and TS_CHECKs that every
+// deterministic output is byte-identical: per-cell results (rendered to a
+// table), the merged metrics artifact, and the merged trace. Then reports the
+// wall-clock speedup. Both runs override TIERSCAPE_BENCH_THREADS.
 //
 // Expected shape: near-linear scaling while cores last — at least 3x at 4
 // threads on a 4-core machine (the assertion is gated on
@@ -17,6 +19,7 @@
 #include "bench/bench_common.h"
 #include "bench/experiment_grid.h"
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 
 using namespace tierscape;
 using namespace tierscape::bench;
@@ -61,7 +64,8 @@ struct GridRun {
 
 GridRun RunAt(const char* name, int threads) {
   ExperimentGrid grid(name);
-  grid.SetThreads(threads);
+  const Status resized = ThreadPool::SetSharedThreadsForTesting(threads);
+  TS_CHECK(resized.ok()) << resized.ToString();
   AddCells(grid);
   const auto start = std::chrono::steady_clock::now();
   const std::vector<ExperimentResult> results = grid.Run();

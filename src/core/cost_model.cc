@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 #include "src/compress/compressor.h"
 
 namespace tierscape {
@@ -80,7 +81,7 @@ double CostModel::ComputeRatio(std::uint64_t region, int tier) const {
   return std::min(1.0, total / kSamples);
 }
 
-void CostModel::PrewarmRatios(std::uint64_t total_regions, ThreadPool& pool) const {
+void CostModel::PrewarmRatios(std::uint64_t total_regions) const {
   struct MissingRatio {
     int profile;
     int tier;
@@ -105,7 +106,7 @@ void CostModel::PrewarmRatios(std::uint64_t total_regions, ThreadPool& pool) con
   // ComputeRatio is pure; workers write disjoint slots, so results are
   // identical for any pool size. Insertion stays on this thread, in scan
   // order, keeping the cache's contents deterministic.
-  pool.ParallelFor(missing.size(), [&](std::size_t i) {
+  ThreadPool::Shared().ParallelFor(missing.size(), [&](std::size_t i) {
     missing[i].ratio = ComputeRatio(missing[i].region, missing[i].tier);
   });
   for (const MissingRatio& entry : missing) {

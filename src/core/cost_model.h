@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <map>
 
-#include "src/common/thread_pool.h"
 #include "src/common/units.h"
 #include "src/tiering/address_space.h"
 #include "src/tiering/tier_table.h"
@@ -47,12 +46,12 @@ class CostModel {
   double PredictRatio(std::uint64_t region, int tier) const;
 
   // Computes every ratio-cache miss across (region profile, compressed tier)
-  // pairs on `pool` — the sample-compression sweeps are pure, so they fan out
-  // — then inserts the results in deterministic scan order. After this, a
-  // Decide() sweep reads predicted ratios as hash lookups only. Exemplar
-  // regions match the serial first-query order (lowest region per profile),
-  // so the cached values are identical to an unwarmed serial run.
-  void PrewarmRatios(std::uint64_t total_regions, ThreadPool& pool) const;
+  // pairs on ThreadPool::Shared() — the sample-compression sweeps are pure,
+  // so they fan out — then inserts the results in deterministic scan order.
+  // After this, a Decide() sweep reads predicted ratios as hash lookups only.
+  // Exemplar regions match the serial first-query order (lowest region per
+  // profile), so the cached values are identical to an unwarmed serial run.
+  void PrewarmRatios(std::uint64_t total_regions) const;
 
   // Predicted access penalty (ns over DRAM) for one access to the region if
   // placed in `tier` (Eq. 6's delta / Lat_CT).

@@ -146,7 +146,7 @@ Status TsDaemon::OnWindowEnd() {
   // first; the Decide() sweep then reads every predicted ratio as a hash
   // lookup (values identical to an unwarmed serial run).
   if (config_.mode == DaemonMode::kPlace) {
-    cost_model_.PrewarmRatios(engine_.space().total_regions(), engine_.thread_pool());
+    cost_model_.PrewarmRatios(engine_.space().total_regions());
     PlacementInput input;
     input.regions.reserve(engine_.space().total_regions());
     for (std::uint64_t region = 0; region < engine_.space().total_regions(); ++region) {

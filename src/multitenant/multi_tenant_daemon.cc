@@ -108,13 +108,8 @@ Status MultiTenantDaemon::BuildTenant(Tenant& tenant) {
   tenant.demand.priority = tenant.spec.priority;
   tenant.demand.footprint_bytes = tenant.space.total_bytes();
 
-  EngineConfig engine = config_.engine;
-  if (config_.threads > 1) {
-    // Nested-pool rule (thread_pool.h): tenant shards already run on this
-    // daemon's pool, so each engine's push pool must be inline-serial.
-    engine.migrate_threads = 1;
-  }
-  tenant.engine = std::make_unique<TieringEngine>(tenant.space, tenant.system->tiers(), engine);
+  tenant.engine =
+      std::make_unique<TieringEngine>(tenant.space, tenant.system->tiers(), config_.engine);
   tenant.policy = tenant.spec.alpha >= 0.0
                       ? std::unique_ptr<PlacementPolicy>(
                             std::make_unique<AnalyticalPolicy>(tenant.spec.alpha))
@@ -259,7 +254,11 @@ Status MultiTenantDaemon::Run() {
     ApplyGrant(*tenants_[i], grants_[i]);
   }
 
-  ThreadPool pool(config_.threads);
+  // threads == 1 runs the tenant shards inline in tenant order (a one-thread
+  // pool spawns nothing); more run them on the process-wide pool, where each
+  // shard's own migration fan-out nests (thread_pool.h).
+  ThreadPool inline_pool(1);
+  ThreadPool& pool = config_.threads > 1 ? ThreadPool::Shared() : inline_pool;
   pool.ParallelFor(n, [this](std::size_t i) { SetupTenantShard(*tenants_[i]); });
   for (const auto& tenant : tenants_) {
     TS_RETURN_IF_ERROR(tenant->status);

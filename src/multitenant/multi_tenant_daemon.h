@@ -9,7 +9,7 @@
 // promotes) rather than failure.
 //
 // Determinism (thread_pool.h invariant): per-tenant window shards run
-// concurrently on the daemon's pool, but each worker touches only its
+// concurrently on the process-wide pool, but each worker touches only its
 // tenant's slot (engine, daemon, observability, demand scratch). Arbiter
 // decisions, grant application, virtual-time charges, and parent-scope metric
 // updates all happen on the orchestrator thread in ascending tenant order,
@@ -63,11 +63,13 @@ struct MultiTenantConfig {
   // DRAM pool size (every tenant sees the whole medium; the grant cap is the
   // partition); obs/fault seeds are replaced per tenant.
   SystemConfig system;
-  EngineConfig engine;  // migrate_threads forced to 1 when threads > 1
+  EngineConfig engine;
   DaemonConfig daemon;  // window_ops overridden to ops_per_window (§4h shards)
   std::uint64_t ops_per_window = 2000;  // per tenant
   std::uint64_t windows = 8;
-  int threads = 1;  // pool size for per-tenant shards (wall-clock only)
+  // 1 runs the per-tenant shards inline; > 1 runs them on ThreadPool::Shared().
+  // Wall-clock only.
+  int threads = 1;
   std::uint64_t base_seed = 42;  // tenant i runs with SplitSeed(base_seed, i)
   bool trace = false;            // enable per-tenant trace recorders
   // Shared compressed side-cache (DESIGN.md §4g): when > 0, the daemon hosts

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 
 namespace tierscape {
 
@@ -25,10 +26,6 @@ Status EngineConfig::Validate() const {
     return InvalidArgument("EngineConfig: migration_interference must be in [0, 1], got " +
                            std::to_string(migration_interference));
   }
-  if (migrate_threads < 1) {
-    return InvalidArgument("EngineConfig: migrate_threads must be >= 1, got " +
-                           std::to_string(migrate_threads));
-  }
   return OkStatus();
 }
 
@@ -44,7 +41,6 @@ TieringEngine::TieringEngine(AddressSpace& space, TierTable& tiers, EngineConfig
   tier_pages_.assign(tiers_.count(), 0);
   region_tier_pages_.assign(space_.total_regions() * static_cast<std::uint64_t>(tiers_.count()),
                             0);
-  thread_pool_ = std::make_unique<ThreadPool>(config_.migrate_threads);
   if (config_.compression_cache) {
     compression_cache_ = std::make_unique<CompressionCache>(space_.total_pages(), &obs_->metrics);
   }
@@ -246,23 +242,24 @@ StatusOr<TieringEngine::MigrateOutcome> TieringEngine::MigrateRegion(std::uint64
     migrate_staged_.push_back(staged);
   }
 
-  // Phase 1 — compression fan-out on the push threads (PT2, §7.2): pages
-  // bound for a compressed destination are read (byte-tier contents are
-  // synthesized — a pure function of page + version; compressed-tier sources
-  // are decompressed through the pure read path, PeekCompressed + the
-  // source's compressor, with no pool mutation and no statistics), probed
-  // against the compression cache (read-only here), and compressed into
-  // disjoint per-index scratch slots. Nothing shared is mutated, so the
-  // staged results — and therefore every virtual-time charge derived from
-  // them — are identical for any thread count; compressed-source load
-  // statistics and costs commit in page order in phase 2 (CommitLoads).
+  // Phase 1 — compression fan-out on the push threads (PT2, §7.2), which
+  // are the process-wide ThreadPool::Shared(): pages bound for a compressed
+  // destination are read (byte-tier contents are synthesized — a pure
+  // function of page + version; compressed-tier sources are decompressed
+  // through the pure read path, PeekCompressed + the source's compressor,
+  // with no pool mutation and no statistics), probed against the compression
+  // cache (read-only here), and compressed into disjoint per-index scratch
+  // slots. Nothing shared is mutated, so the staged results — and therefore
+  // every virtual-time charge derived from them — are identical for any
+  // thread count; compressed-source load statistics and costs commit in page
+  // order in phase 2 (CommitLoads).
   constexpr std::size_t kSlotBytes = 2 * kPageSize;
   const bool compressed_dst = dref.kind == TierKind::kCompressed;
   if (compressed_dst && !migrate_staged_.empty()) {
     const Algorithm algorithm = dref.compressed->config().algorithm;
     const Compressor& compressor = dref.compressed->compressor();
     migrate_scratch_.resize(migrate_staged_.size() * kSlotBytes);
-    thread_pool_->ParallelFor(migrate_staged_.size(), [&](std::size_t i) {
+    ThreadPool::Shared().ParallelFor(migrate_staged_.size(), [&](std::size_t i) {
       StagedPage& staged = migrate_staged_[i];
       const TierRef& src = tiers_.tier(pages_[staged.page].tier);
       if (compression_cache_ != nullptr) {

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/thread_pool.h"
 #include "src/common/units.h"
 #include "src/compress/compression_cache.h"
 #include "src/obs/observability.h"
@@ -39,10 +38,6 @@ struct EngineConfig {
   // runs migration on TS-Daemon's dedicated push threads (PT2 in the
   // artifact), so the application only sees bandwidth interference.
   double migration_interference = 0.05;
-  // Push threads (PT2, §7.2) running the migration pipeline's compression
-  // fan-out and the cost model's ratio sweep. Wall-clock only: virtual-time
-  // results are byte-identical for every value (including 1 = serial).
-  int migrate_threads = 1;
   // Memoize per-page compression results keyed by content version; a repeat
   // store of an unchanged page skips the real compress pass. Never affects
   // virtual time — the modeled store cost is derived from the compressed
@@ -174,9 +169,6 @@ class TieringEngine {
   AddressSpace& space() { return space_; }
   TierTable& tiers() { return tiers_; }
   const EngineConfig& config() const { return config_; }
-  // The push-thread pool (size EngineConfig::migrate_threads); shared with
-  // TS-Daemon for the cost model's ratio sweep.
-  ThreadPool& thread_pool() { return *thread_pool_; }
   // Null when EngineConfig::compression_cache is off.
   const CompressionCache* compression_cache() const { return compression_cache_.get(); }
   // The assembly's observability scope (TierTable's, falling back to the
@@ -240,7 +232,6 @@ class TieringEngine {
   Counter* m_shortfall_pages_ = nullptr;
   Counter* m_degraded_promotes_ = nullptr;
   std::vector<Gauge*> m_tier_pages_;  // "engine/pages/<label>", by tier index
-  std::unique_ptr<ThreadPool> thread_pool_;
   std::unique_ptr<CompressionCache> compression_cache_;
   // Reused staging buffers for MigrateRegion (one compressed-output slot per
   // page of a region), so the per-window migration loop does not allocate.

@@ -1,14 +1,19 @@
-// Unit tests for src/common: status, RNG distributions, histograms.
+// Unit tests for src/common: status, RNG distributions, histograms, and the
+// shared thread pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
+#include <numeric>
+#include <thread>
 #include <vector>
 
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/common/thread_pool.h"
 #include "src/common/units.h"
 
 namespace tierscape {
@@ -298,6 +303,105 @@ TEST(SplitMixTest, Avalanche) {
   }
   EXPECT_GT(total / 100, 20);
   EXPECT_LT(total / 100, 44);
+}
+
+// ThreadPool (thread_pool.h): the shared pool is reentrant and takes
+// batches from several threads at once; each test sizes it itself.
+
+TEST(ThreadPoolTest, EveryIndexRunsExactlyOnceAtEverySize) {
+  for (const int threads : {1, 2, 4, 8}) {
+    ASSERT_TRUE(ThreadPool::SetSharedThreadsForTesting(threads).ok());
+    EXPECT_EQ(ThreadPool::Shared().threads(), threads);
+    for (const std::size_t n : {0, 1, 7, 1000}) {
+      std::vector<int> slots(n, 0);
+      ThreadPool::Shared().ParallelFor(n, [&slots](std::size_t i) { slots[i] += 1; });
+      EXPECT_EQ(std::count(slots.begin(), slots.end(), 1), static_cast<std::ptrdiff_t>(n))
+          << threads << " threads, n = " << n;
+    }
+  }
+}
+
+TEST(ThreadPoolTest, NestedParallelForFromATask) {
+  ASSERT_TRUE(ThreadPool::SetSharedThreadsForTesting(4).ok());
+  constexpr std::size_t kOuter = 6;
+  constexpr std::size_t kMiddle = 5;
+  constexpr std::size_t kInner = 40;
+  ThreadPool& pool = ThreadPool::Shared();
+  std::vector<std::uint64_t> slots(kOuter * kMiddle * kInner, 0);
+  pool.ParallelFor(kOuter, [&pool, &slots](std::size_t i) {
+    pool.ParallelFor(kMiddle, [&pool, &slots, i](std::size_t j) {
+      pool.ParallelFor(kInner, [&slots, i, j](std::size_t k) {
+        slots[(i * kMiddle + j) * kInner + k] += (i * kMiddle + j) * kInner + k + 1;
+      });
+    });
+  });
+  for (std::size_t x = 0; x < slots.size(); ++x) {
+    EXPECT_EQ(slots[x], x + 1) << "slot " << x;
+  }
+}
+
+TEST(ThreadPoolTest, IdleWorkersJoinANestedBatch) {
+  // Outer index 0 fans out two inner indices, each of which waits (boundedly)
+  // until both run at once. Only an idle worker claiming from the nested
+  // batch can make that happen; three threads leave one idle whoever takes
+  // index 0.
+  ASSERT_TRUE(ThreadPool::SetSharedThreadsForTesting(3).ok());
+  ThreadPool& pool = ThreadPool::Shared();
+  std::atomic<int> running{0};
+  std::vector<int> met(2, 0);
+  pool.ParallelFor(2, [&pool, &running, &met](std::size_t outer) {
+    if (outer != 0) {
+      return;
+    }
+    pool.ParallelFor(2, [&running, &met](std::size_t inner) {
+      running.fetch_add(1);
+      for (int spin = 0; running.load() < 2 && spin < 20'000'000; ++spin) {
+        std::this_thread::yield();
+      }
+      met[inner] = running.load() >= 2 ? 1 : 0;
+    });
+  });
+  EXPECT_EQ(met, (std::vector<int>{1, 1}));
+}
+
+TEST(ThreadPoolTest, ConcurrentSubmittersFromOutsideThePool) {
+  ASSERT_TRUE(ThreadPool::SetSharedThreadsForTesting(4).ok());
+  constexpr std::size_t kRounds = 50;
+  constexpr std::size_t kN = 300;
+  std::vector<std::uint64_t> sums(2, 0);
+  const auto submit = [&sums](std::size_t submitter) {
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      std::vector<std::uint64_t> slots(kN, 0);
+      ThreadPool::Shared().ParallelFor(
+          kN, [&slots, submitter](std::size_t i) { slots[i] = i * (submitter + 1); });
+      sums[submitter] += std::accumulate(slots.begin(), slots.end(), std::uint64_t{0});
+    }
+  };
+  std::thread first(submit, 0);
+  std::thread second(submit, 1);
+  first.join();
+  second.join();
+  constexpr std::uint64_t kOnePass = kN * (kN - 1) / 2;
+  EXPECT_EQ(sums[0], kRounds * kOnePass);
+  EXPECT_EQ(sums[1], 2 * kRounds * kOnePass);
+}
+
+TEST(ThreadPoolTest, ResizeRefusedWhileABatchIsOpen) {
+  for (const int threads : {1, 2}) {
+    ASSERT_TRUE(ThreadPool::SetSharedThreadsForTesting(threads).ok());
+    std::vector<StatusCode> codes(4, StatusCode::kOk);
+    ThreadPool::Shared().ParallelFor(4, [&codes](std::size_t i) {
+      codes[i] = ThreadPool::SetSharedThreadsForTesting(8).code();
+    });
+    for (const StatusCode code : codes) {
+      EXPECT_EQ(code, StatusCode::kFailedPrecondition) << threads << " threads";
+    }
+    EXPECT_EQ(ThreadPool::Shared().threads(), threads);
+  }
+  // Idle again: the resize goes through.
+  EXPECT_TRUE(ThreadPool::SetSharedThreadsForTesting(8).ok());
+  EXPECT_EQ(ThreadPool::Shared().threads(), 8);
+  EXPECT_EQ(ThreadPool::SetSharedThreadsForTesting(0).code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 #include "src/compress/compression_cache.h"
 #include "src/mem/medium.h"
 #include "src/tiering/address_space.h"
@@ -174,19 +175,19 @@ TEST(CompressionCacheTest, ThreadCountDoesNotChangeCacheCounters) {
   // Lookups in the parallel probe phase are read-only; counters advance only
   // in the sequential apply phase, so stats are thread-count-independent —
   // and migration with check_tier_counts on cross-checks placement too.
-  EngineConfig serial_config;
-  serial_config.check_tier_counts = true;
-  EngineConfig pooled_config = serial_config;
-  pooled_config.migrate_threads = 4;
-  Rig serial(serial_config);
-  Rig pooled(pooled_config);
+  EngineConfig config;
+  config.check_tier_counts = true;
+  Rig serial(config);
+  Rig pooled(config);
 
   const auto script = [](Rig& rig) {
     TS_CHECK(rig.engine->MigrateRegion(0, 2).ok());
     rig.PromoteAll();
     TS_CHECK(rig.engine->MigrateRegion(0, 2).ok());
   };
+  ASSERT_TRUE(ThreadPool::SetSharedThreadsForTesting(1).ok());
   script(serial);
+  ASSERT_TRUE(ThreadPool::SetSharedThreadsForTesting(4).ok());
   script(pooled);
 
   const auto& a = serial.engine->compression_cache()->stats();

@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/thread_pool.h"
 #include "src/core/analytical.h"
 #include "src/core/tier_specs.h"
 #include "src/core/ts_daemon.h"
@@ -69,7 +70,7 @@ TEST(FastPathConfigTest, DaemonRejectsFastPathInProfileOnlyMode) {
 // (the profile window is far beyond any virtual time these tests accrue).
 class FastPathFixture : public ::testing::Test {
  protected:
-  FastPathFixture() : system_(StandardMixConfig(64 * kMiB, 128 * kMiB)) {
+  FastPathFixture() : system_(PrivateObsConfig(obs_)) {
     space_.Allocate("data", 16 * kMiB, CorpusProfile::kDickens);
     engine_ = std::make_unique<TieringEngine>(space_, system_.tiers(),
                                               EngineConfig{.pebs_period = 1});
@@ -94,6 +95,15 @@ class FastPathFixture : public ::testing::Test {
     }
   }
 
+  // Counters go to a private registry, so no test reads what an earlier test
+  // in the same process counted.
+  static SystemConfig PrivateObsConfig(Observability& obs) {
+    SystemConfig config = StandardMixConfig(64 * kMiB, 128 * kMiB);
+    config.obs = &obs;
+    return config;
+  }
+
+  Observability obs_;
   TieredSystem system_;
   AddressSpace space_;
   std::unique_ptr<TieringEngine> engine_;
@@ -244,7 +254,7 @@ MasimConfig FlashCrowdConfig() {
 // --- Determinism ------------------------------------------------------------
 
 TEST(FastPathDeterminism, ByteIdenticalAcrossEngineThreads) {
-  // Engine migrate threads are a wall-clock-only knob; with the fast path
+  // The shared pool's size is a wall-clock-only knob; with the fast path
   // driving mid-window migrations the contract must hold unchanged: metrics
   // (wall/ excluded), traces, and per-window fast-path accounting are
   // byte-identical at every thread count.
@@ -254,6 +264,7 @@ TEST(FastPathDeterminism, ByteIdenticalAcrossEngineThreads) {
     std::string trace_jsonl;
   };
   auto run = [](int threads) {
+    EXPECT_TRUE(ThreadPool::SetSharedThreadsForTesting(threads).ok());
     Observability obs;
     obs.trace.SetEnabled(true);
     SystemConfig system_config = StandardMixConfig(64 * kMiB, 256 * kMiB);
@@ -265,7 +276,6 @@ TEST(FastPathDeterminism, ByteIdenticalAcrossEngineThreads) {
     config.ops = 12000;
     config.target_windows = 6;
     config.engine.pebs_period = 16;
-    config.engine.migrate_threads = threads;
     config.engine.check_tier_counts = true;
     config.daemon.fast_path.enabled = true;
     RunOutput output;

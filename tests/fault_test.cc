@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/common/thread_pool.h"
 #include "src/compress/corpus.h"
 #include "src/core/analytical.h"
 #include "src/fault/fault_injector.h"
@@ -294,9 +295,8 @@ TEST(GracefulDegradationTest, RetryOutcomeDeterministicAcrossRunsAndThreads) {
   config.seed = 47;
   config.store_transient_rate = 0.4;
   auto run = [&config](int threads) {
-    EngineConfig engine_config;
-    engine_config.migrate_threads = threads;
-    EngineRig rig(config, engine_config);
+    EXPECT_TRUE(ThreadPool::SetSharedThreadsForTesting(threads).ok());
+    EngineRig rig(config);
     auto outcome = rig.engine->MigrateRegion(0, 1);
     TS_CHECK(outcome.ok());
     return std::pair<TieringEngine::MigrateOutcome, Nanos>(*outcome, rig.engine->now());

@@ -1,5 +1,5 @@
 // The experiment-grid runner's hard invariant (bench/experiment_grid.h):
-// the grid thread count is a wall-clock-only knob, so every deterministic
+// the shared pool's size is a wall-clock-only knob, so every deterministic
 // output — per-cell results, merged metrics, merged trace — must be
 // byte-identical at any parallelism. micro_grid checks this for 1 vs 4
 // threads at bench scale; here a small grid sweeps {1, 4, 8} (including
@@ -12,6 +12,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/experiment_grid.h"
+#include "src/common/thread_pool.h"
 
 namespace tierscape {
 namespace bench {
@@ -54,7 +55,7 @@ struct GridRun {
 
 GridRun RunAt(const char* name, int threads) {
   ExperimentGrid grid(name);
-  grid.SetThreads(threads);
+  EXPECT_TRUE(ThreadPool::SetSharedThreadsForTesting(threads).ok());
   AddCells(grid);
   GridRun run;
   run.results = Render(grid.Run());
@@ -79,7 +80,7 @@ TEST(GridTest, DeterministicAcrossBenchThreads) {
 
 TEST(GridTest, MergedMetricsCarryCellPrefixes) {
   ExperimentGrid grid("grid_test.prefix");
-  grid.SetThreads(2);
+  ASSERT_TRUE(ThreadPool::SetSharedThreadsForTesting(2).ok());
   AddCells(grid);
   grid.Run();
   const std::string metrics = grid.MergedMetricsJsonl();

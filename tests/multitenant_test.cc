@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/common/thread_pool.h"
 #include "src/multitenant/arbiter.h"
 #include "src/multitenant/multi_tenant_daemon.h"
 #include "src/workloads/tenant_mix.h"
@@ -188,6 +189,7 @@ struct ColocationRun {
 };
 
 ColocationRun RunColocation(int threads, int tenants) {
+  EXPECT_TRUE(ThreadPool::SetSharedThreadsForTesting(threads).ok());
   Observability parent;
   MultiTenantConfig config = SmallColocation(threads);
   config.obs = &parent;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/histogram.h"
+#include "src/common/thread_pool.h"
 #include "src/core/analytical.h"
 #include "src/fault/fault_injector.h"
 #include "src/obs/export.h"
@@ -283,6 +284,7 @@ TEST(DriverTest, DeterministicAcrossThreadsAndCache) {
     std::string trace_jsonl;
   };
   auto run = [](int threads, bool cache, const FaultConfig& fault) {
+    EXPECT_TRUE(ThreadPool::SetSharedThreadsForTesting(threads).ok());
     Observability obs;
     obs.trace.SetEnabled(true);
     SystemConfig system_config = StandardMixConfig(64 * kMiB, 256 * kMiB);
@@ -294,7 +296,6 @@ TEST(DriverTest, DeterministicAcrossThreadsAndCache) {
     ExperimentConfig config;
     config.ops = 10000;
     config.target_windows = 5;
-    config.engine.migrate_threads = threads;
     config.engine.compression_cache = cache;
     config.engine.check_tier_counts = true;
     RunOutput output;

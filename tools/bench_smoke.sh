@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # CI bench smoke (EXPERIMENTS.md "CI smoke"): run every grid-runner bench at
-# tiny scale (TIERSCAPE_BENCH_SMOKE=1), once serial and once with a 4-thread
-# grid, and diff everything deterministic between the two runs — stdout
-# tables, merged metrics artifacts, merged traces. The grid thread count is a
-# wall-clock-only knob (bench/experiment_grid.h), so any divergence is a
-# determinism regression.
+# tiny scale (TIERSCAPE_BENCH_SMOKE=1), once as a fully serial process
+# (TIERSCAPE_BENCH_THREADS=1) and once with the shared thread pool at 4, and
+# diff everything deterministic between the two runs — stdout tables, merged
+# metrics artifacts, merged traces. The pool size is a wall-clock-only knob
+# (src/common/thread_pool.h), so any divergence is a determinism regression.
 #
 # Excluded from the diff by construction:
 #   - BENCH_grid.json            per-cell wall-time records
@@ -41,7 +41,7 @@ for threads in 1 4; do
   done
 done
 
-echo "[bench_smoke] diffing deterministic outputs (serial vs 4 grid threads)"
+echo "[bench_smoke] diffing deterministic outputs (serial vs 4 pool threads)"
 diff -r \
   -x BENCH_grid.json \
   -x micro_migration.stdout \
@@ -53,8 +53,7 @@ test -s "$OUT/t1/BENCH_grid.json"
 test -s "$OUT/t4/BENCH_grid.json"
 
 # The colocation sweep must emit a wall record for every (policy, tenants)
-# cell — the serial run also flexes the MultiTenantDaemon's own 4-thread pool,
-# so a missing record means a cell silently died (DESIGN.md §4f).
+# cell — a missing record means a cell silently died (DESIGN.md §4f).
 for threads in 1 4; do
   grep -q '"bench":"fig16_colocation","cell":"utility@16","wall_ms"' \
     "$OUT/t$threads/BENCH_grid.json"
